@@ -28,8 +28,9 @@ from .config import (
     save_config,
 )
 from .data import DatasetError, generate_domain, load_dataset
-from .encoder import encode_sequence, load_checkpoint, save_checkpoint
+from .encoder import encode_sequences, load_checkpoint, save_checkpoint
 from .evaluation import ProtocolError, make_protocol, rank1
+from .files import write_text_atomic
 from .pipeline import adapt_target, dump_round_files, pretrain_source
 
 log = logging.getLogger("gaitadapt")
@@ -92,13 +93,13 @@ def _resolve_config(args) -> ExperimentConfig:
         seed=getattr(args, "seed", None),
         strategy=getattr(args, "strategy", None),
     )
-    return cfg
+    return cfg.check_batches()
 
 
 def _write_snapshot(ctx: RunContext, cfg: ExperimentConfig, args_doc: dict) -> None:
     save_config(cfg, ctx.path("resolved_config.json"))
     doc = {"verb": ctx.verb, "args": args_doc}
-    ctx.path("run_args.json").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    write_text_atomic(ctx.path("run_args.json"), json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 def cmd_gen_data(args) -> None:
@@ -168,7 +169,7 @@ def _evaluate_checkpoint(checkpoint_path, data_root, convention, gallery_size,
     test = dataset.split("test")
     if not test:
         raise DatasetError(f"{data_root} has no test split")
-    embeddings = {s.sample_id: encode_sequence(s, params) for s in test}
+    embeddings = dict(zip([s.sample_id for s in test], encode_sequences(test, params)))
     protocol = make_protocol(
         test, convention=convention, gallery_size=gallery_size,
         first_to_gallery=first_to_gallery,
@@ -268,7 +269,8 @@ def _metric_columns(summary: dict) -> dict[str, float]:
 
 def write_ablation_tables(results: dict, out: Path, seeds: list[int]) -> None:
     """details.csv: one row per (method, seed). comparison.csv: method rows
-    with mean and spread (sample std) per metric over the seed list."""
+    with mean and spread (population std, ddof=0, so a single seed reads 0)
+    per metric over the seed list."""
     all_cols: list[str] = []
     for m in ABLATE_METHODS:
         for seed in seeds:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .data import DomainSpec
 from .encoder import EncoderShape
+from .files import write_text_atomic
 from .pipeline import TrainConfig, desk_preset, paper_preset
 
 CONFIG_VERSION = 1
@@ -41,6 +42,12 @@ def default_target_spec() -> DomainSpec:
         shear=0.08,
         body_jitter=(0.0, 0.12),
     )
+
+
+def paper_source_spec() -> DomainSpec:
+    """The default source with CASIA-B's walks per view (6 NM, 2 BG, 2 CL),
+    enough sequences per identity for the reference batch_k of 16."""
+    return dataclasses.replace(default_source_spec(), walks={"NM": 6, "BG": 2, "CL": 2})
 
 
 def separable_source_spec() -> DomainSpec:
@@ -72,6 +79,19 @@ class ExperimentConfig:
             "target": self.target.to_dict(),
         }
 
+    def check_batches(self) -> "ExperimentConfig":
+        """Raise ConfigError unless the source data can fill a P x K batch."""
+        src, train = self.source, self.train
+        if train.batch_k > src.sequences_per_identity:
+            raise ConfigError(
+                f"batch_k {train.batch_k} exceeds the {src.sequences_per_identity}"
+                " sequences per identity that the source spec yields")
+        if train.batch_p > src.identities:
+            raise ConfigError(
+                f"batch_p {train.batch_p} exceeds the {src.identities} training"
+                " identities of the source spec")
+        return self
+
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         version = doc.get("format_version", CONFIG_VERSION)
@@ -97,7 +117,7 @@ def preset_config(name: str) -> ExperimentConfig:
     if name == "desk":
         return ExperimentConfig(train=desk_preset())
     if name == "paper":
-        return ExperimentConfig(train=paper_preset())
+        return ExperimentConfig(train=paper_preset(), source=paper_source_spec())
     raise ConfigError(f"unknown preset {name!r}, expected 'paper' or 'desk'")
 
 
@@ -113,7 +133,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(cfg.to_dict(), sort_keys=True, indent=1) + "\n")
+    write_text_atomic(path, json.dumps(cfg.to_dict(), sort_keys=True, indent=1) + "\n")
 
 
 def apply_overrides(cfg: ExperimentConfig, **train_overrides) -> ExperimentConfig:

@@ -18,6 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from .encoder import SilhouetteSequence
+from .files import write_text_atomic
 from .numerics import seed_stream
 
 MANIFEST_NAME = "manifest.json"
@@ -73,6 +74,10 @@ class DomainSpec:
         for c in self.walks:
             if c not in CONDITIONS:
                 raise ValueError(f"unknown condition {c!r}, expected one of {CONDITIONS}")
+
+    @property
+    def sequences_per_identity(self) -> int:
+        return sum(self.walks.values()) * len(self.views)
 
     def to_dict(self) -> dict:
         d = {
@@ -373,9 +378,8 @@ def generate_domain(
                     ))
 
     manifest = DatasetManifest(root, domain, spec.height, spec.width, records)
-    (root / MANIFEST_NAME).write_text(
-        json.dumps(_manifest_to_doc(manifest), sort_keys=True, indent=1) + "\n"
-    )
+    write_text_atomic(root / MANIFEST_NAME,
+                      json.dumps(_manifest_to_doc(manifest), sort_keys=True, indent=1) + "\n")
     return manifest
 
 

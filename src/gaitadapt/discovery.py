@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import EncoderParams, SilhouetteSequence, encode_sequence
+from .encoder import EncoderParams, SilhouetteSequence, encode_sequences
 from .losses import entropy, softmax_row
 from .numerics import l2_normalize
 
@@ -51,12 +51,7 @@ def build_bank(
     """Encode every sequence into a fresh bank, in input order."""
     if len(seqs) == 0:
         raise ValueError("cannot build a bank from an empty sample set")
-    entries = np.empty((len(seqs), params.shape.embed_dim), dtype=np.float64)
-    for i, seq in enumerate(seqs):
-        try:
-            entries[i] = encode_sequence(seq, params)
-        except ValueError as e:
-            raise type(e)(f"sample {seq.sample_id}: {e}") from e
+    entries = encode_sequences(seqs, params)
     return MemoryBank(tuple(s.sample_id for s in seqs), entries, momentum)
 
 

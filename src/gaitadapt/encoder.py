@@ -6,8 +6,10 @@ affine+ReLU layers, frames are aggregated by an element-wise max (order
 invariant), and the pooled map is read out by a multi-scale strip pyramid
 whose concatenated output is L2-normalized.
 
-Gradients are hand-written reverse mode and validated against central
-finite differences in the test suite.
+One batched forward pass (encode_batch) serves training, bank building and
+evaluation; it returns a trace that the hand-written reverse-mode pass
+(encode_backward) reuses. Gradients are validated against central finite
+differences in the test suite.
 """
 
 from __future__ import annotations
@@ -18,9 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import l2_normalize
+from .files import write_text_atomic
+from .numerics import NORM_EPS, DegenerateInputError
 
 CHECKPOINT_VERSION = 1
+
+# frames per forward-only chunk in encode_sequences: about 2 MB of float64
+# activations at 24x24, so encoding a large bank keeps peak memory flat
+CHUNK_FRAMES = 256
 
 
 @dataclass(frozen=True)
@@ -166,109 +173,91 @@ def _strip_slices(shape: EncoderShape) -> list[tuple[int, int, int]]:
     return out
 
 
-def _band_split(frame: np.ndarray, shape: EncoderShape) -> np.ndarray:
-    """(H, W) frame -> (bands, band_pixels) float rows of consecutive-row bands."""
-    return frame.astype(np.float64).reshape(shape.bands, shape.band_pixels)
-
-
-def encode_frame(frame: np.ndarray, params: EncoderParams) -> np.ndarray:
-    """Per-frame feature map of shape (bands, channels)."""
-    shape = params.shape
-    frame = np.asarray(frame)
-    if frame.shape != (shape.height, shape.width):
-        raise ValueError(
-            f"frame shape {frame.shape} does not match encoder ({shape.height}, {shape.width})"
-        )
-    x = _band_split(frame, shape)
-    z1 = x @ params["frame.weight"].T + params["frame.bias"]
-    u = np.maximum(z1, 0.0)
-    z2 = u @ params["mix.weight"].T + params["mix.bias"]
-    return np.maximum(z2, 0.0)
-
-
-def set_pool(maps: list[np.ndarray]) -> np.ndarray:
-    """Element-wise max over frame feature maps; order invariant by construction."""
-    if len(maps) == 0:
-        raise ValueError("set_pool needs at least one feature map")
-    stack = np.stack(maps)
-    return stack.max(axis=0)
-
-
-def pyramid_map(pooled: np.ndarray, params: EncoderParams) -> np.ndarray:
-    """Multi-scale strip readout of the pooled map, concatenated and normalized."""
-    shape = params.shape
-    pooled = np.asarray(pooled, dtype=np.float64)
-    if pooled.shape != (shape.bands, shape.channels):
-        raise ValueError(
-            f"feature map shape {pooled.shape} does not match ({shape.bands}, {shape.channels})"
-        )
-    pieces = []
-    for b0, b1, t in _strip_slices(shape):
-        m = pooled[b0:b1].mean(axis=0)
-        pieces.append(params[f"strip{t}.weight"] @ m + params[f"strip{t}.bias"])
-    return l2_normalize(np.concatenate(pieces))
+def _affine_relu(a: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """relu(a @ weight.T + bias), stacked over a's leading axis, in place."""
+    z = a @ weight.T
+    z += bias
+    return np.maximum(z, 0.0, out=z)
 
 
 @dataclass
-class _ForwardTrace:
-    """Activations kept for the backward pass of one sequence."""
+class EncoderTrace:
+    """One batched forward pass: the embeddings and the activations that the
+    backward pass reuses. Frames of all sequences are stacked in input order."""
 
-    x: np.ndarray        # (K, B, P) band inputs
-    z1: np.ndarray       # (K, B, C) pre-ReLU, frame layer
-    u: np.ndarray        # (K, B, C)
-    z2: np.ndarray       # (K, B, C) pre-ReLU, mixing layer
-    v: np.ndarray        # (K, B, C)
-    argmax: np.ndarray   # (B, C) winning frame per cell (lowest index on ties)
-    pooled: np.ndarray   # (B, C)
-    strip_means: list[np.ndarray]
-    pre_norm: np.ndarray  # (d,)
-    norm: float
-    embedding: np.ndarray  # (d,)
+    starts: np.ndarray          # (n,) index of each sequence's first frame
+    x: np.ndarray               # (F, B, P) band inputs
+    u: np.ndarray               # (F, B, C) frame layer output
+    v: np.ndarray               # (F, B, C) mixing layer output
+    pooled: np.ndarray          # (n, B, C) max over each sequence's frames
+    strip_means: list[np.ndarray]  # per strip, (n, C)
+    norms: np.ndarray           # (n,) pre-normalization norms
+    embeddings: np.ndarray      # (n, d) unit-norm rows
 
 
-def _forward_trace(seq: SilhouetteSequence, params: EncoderParams) -> _ForwardTrace:
+def encode_batch(seqs: list[SilhouetteSequence], params: EncoderParams) -> EncoderTrace:
+    """Encode a batch in one pass over the stacked frames, max-pool each
+    sequence over its own frames, and read all pooled maps out together.
+
+    Every matmul is stacked per frame or per sequence, so an embedding is
+    bitwise independent of frame order and of the rest of the batch: the
+    BLAS kernel, and with it the rounding, can change with the row count of
+    a single large product.
+    """
     shape = params.shape
-    maps = []
-    xs, z1s, us, z2s = [], [], [], []
-    for k in range(seq.length):
-        frame = seq.frames[k]
-        if frame.shape != (shape.height, shape.width):
+    if len(seqs) == 0:
+        raise ValueError("encode_batch needs at least one sequence")
+    for seq in seqs:
+        if seq.frames.shape[1:] != (shape.height, shape.width):
             raise ValueError(
-                f"sample {seq.sample_id}: frame shape {frame.shape} does not match encoder"
+                f"sample {seq.sample_id}: frame shape {seq.frames.shape[1:]} does not"
+                f" match encoder ({shape.height}, {shape.width})"
             )
-        x = _band_split(frame, shape)
-        z1 = x @ params["frame.weight"].T + params["frame.bias"]
-        u = np.maximum(z1, 0.0)
-        z2 = u @ params["mix.weight"].T + params["mix.bias"]
-        v = np.maximum(z2, 0.0)
-        xs.append(x)
-        z1s.append(z1)
-        us.append(u)
-        z2s.append(z2)
-        maps.append(v)
-    v_all = np.stack(maps)
-    argmax = v_all.argmax(axis=0)  # first occurrence wins ties
-    pooled = v_all.max(axis=0)
+    lengths = np.array([seq.length for seq in seqs])
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    # consecutive image rows form a band, so each frame reshapes to (B, P)
+    x = np.concatenate([seq.frames for seq in seqs]).reshape(-1, shape.bands, shape.band_pixels)
+    x = x.astype(np.float64)
+    u = _affine_relu(x, params["frame.weight"], params["frame.bias"])
+    v = _affine_relu(u, params["mix.weight"], params["mix.bias"])
+    pooled = np.maximum.reduceat(v, starts, axis=0)
 
-    strip_means = []
-    pieces = []
+    strip_means, pieces = [], []
     for b0, b1, t in _strip_slices(shape):
-        m = pooled[b0:b1].mean(axis=0)
+        m = pooled[:, b0:b1].mean(axis=1)
         strip_means.append(m)
-        pieces.append(params[f"strip{t}.weight"] @ m + params[f"strip{t}.bias"])
-    pre_norm = np.concatenate(pieces)
-    n = float(np.linalg.norm(pre_norm))
-    emb = l2_normalize(pre_norm)
-    return _ForwardTrace(
-        x=np.stack(xs), z1=np.stack(z1s), u=np.stack(us), z2=np.stack(z2s),
-        v=v_all, argmax=argmax, pooled=pooled, strip_means=strip_means,
-        pre_norm=pre_norm, norm=n, embedding=emb,
-    )
+        pieces.append((params[f"strip{t}.weight"] @ m[:, :, None])[:, :, 0]
+                      + params[f"strip{t}.bias"])
+    pre_norm = np.concatenate(pieces, axis=1)
+    norms = np.sqrt((pre_norm[:, None, :] @ pre_norm[:, :, None])[:, 0, 0])
+    dead = np.flatnonzero(norms <= NORM_EPS)
+    if dead.size:
+        i = int(dead[0])
+        raise DegenerateInputError(
+            f"sample {seqs[i].sample_id}: cannot normalize embedding with norm {norms[i]!r}"
+        )
+    return EncoderTrace(starts=starts, x=x, u=u, v=v, pooled=pooled,
+                        strip_means=strip_means, norms=norms,
+                        embeddings=pre_norm / norms[:, None])
 
 
 def encode_sequence(seq: SilhouetteSequence, params: EncoderParams) -> np.ndarray:
     """Unit-norm embedding of one sequence; invariant to frame order."""
-    return _forward_trace(seq, params).embedding
+    return encode_batch([seq], params).embeddings[0]
+
+
+def encode_sequences(seqs: list[SilhouetteSequence], params: EncoderParams) -> np.ndarray:
+    """(n, d) embeddings in input order, encoded in chunks of at most
+    CHUNK_FRAMES frames (a longer sequence is a chunk of its own)."""
+    rows, chunk, frames = [], [], 0
+    for seq in seqs:
+        if chunk and frames + seq.length > CHUNK_FRAMES:
+            rows.append(encode_batch(chunk, params).embeddings)
+            chunk, frames = [], 0
+        chunk.append(seq)
+        frames += seq.length
+    rows.append(encode_batch(chunk, params).embeddings)
+    return np.concatenate(rows)
 
 
 def zero_grads(shape: EncoderShape) -> dict[str, np.ndarray]:
@@ -279,12 +268,14 @@ def encode_backward(
     seqs: list[SilhouetteSequence],
     params: EncoderParams,
     grad_embeddings: list[np.ndarray] | np.ndarray,
+    trace: EncoderTrace | None = None,
 ) -> dict[str, np.ndarray]:
     """Gradient of sum_i <grad_i, encode(seq_i)> with respect to every parameter.
 
-    Forward activations are recomputed. Max pooling routes each cell's
-    gradient to the lowest-index winning frame; ReLU uses subgradient 0 at 0.
-    Accumulation over sequences follows input order, so results are
+    trace is encode_batch(seqs, params) from the same parameters; without
+    it the forward pass runs here. Max pooling routes each cell's gradient
+    to the lowest-index winning frame; ReLU uses subgradient 0 at 0. Sums
+    over sequences and frames are fixed by the input order, so results are
     deterministic.
     """
     grad_embeddings = list(grad_embeddings)
@@ -293,48 +284,50 @@ def encode_backward(
             f"{len(seqs)} sequences but {len(grad_embeddings)} embedding gradients"
         )
     shape = params.shape
-    grads = zero_grads(shape)
-    strips = _strip_slices(shape)
-
     for seq, demb in zip(seqs, grad_embeddings):
-        demb = np.asarray(demb, dtype=np.float64)
-        if demb.shape != (shape.embed_dim,):
+        if np.shape(demb) != (shape.embed_dim,):
             raise ValueError(
-                f"sample {seq.sample_id}: gradient shape {demb.shape} != ({shape.embed_dim},)"
+                f"sample {seq.sample_id}: gradient shape {np.shape(demb)} != ({shape.embed_dim},)"
             )
-        tr = _forward_trace(seq, params)
+    if trace is None:
+        trace = encode_batch(seqs, params)
+    elif len(trace.starts) != len(seqs):
+        raise ValueError(f"trace holds {len(trace.starts)} sequences, not {len(seqs)}")
+    grads = {}
+    demb = np.asarray(grad_embeddings, dtype=np.float64)
 
-        # through y = p / ||p||:  dp = (dy - y (y . dy)) / ||p||
-        y = tr.embedding
-        dpre = (demb - y * float(y @ demb)) / tr.norm
+    # through y = p / ||p||:  dp = (dy - y (y . dy)) / ||p||
+    y = trace.embeddings
+    dpre = (demb - y * (y * demb).sum(axis=1, keepdims=True)) / trace.norms[:, None]
 
-        dpooled = np.zeros_like(tr.pooled)
-        sd = shape.strip_dim
-        for (b0, b1, t), m in zip(strips, tr.strip_means):
-            dv_t = dpre[t * sd:(t + 1) * sd]
-            grads[f"strip{t}.weight"] += np.outer(dv_t, m)
-            grads[f"strip{t}.bias"] += dv_t
-            dm = params[f"strip{t}.weight"].T @ dv_t
-            dpooled[b0:b1] += dm / (b1 - b0)
+    dpooled = np.zeros_like(trace.pooled)
+    sd = shape.strip_dim
+    for (b0, b1, t), m in zip(_strip_slices(shape), trace.strip_means):
+        dv_t = dpre[:, t * sd:(t + 1) * sd]
+        grads[f"strip{t}.weight"] = dv_t.T @ m
+        grads[f"strip{t}.bias"] = dv_t.sum(axis=0)
+        dm = dv_t @ params[f"strip{t}.weight"]
+        dpooled[:, b0:b1] += dm[:, None, :] / (b1 - b0)
 
-        # unpool: each (b, c) cell's gradient goes to its winning frame
-        dv = np.zeros_like(tr.v)
-        np.put_along_axis(dv, tr.argmax[None, :, :], dpooled[None, :, :], axis=0)
+    # unpool: each cell's winner is the first frame of its sequence that
+    # equals the pooled max
+    frames = len(trace.v)
+    seq_of_frame = np.repeat(np.arange(len(trace.starts)), np.diff(trace.starts, append=frames))
+    candidates = np.where(trace.v == trace.pooled[seq_of_frame],
+                          np.arange(frames)[:, None, None], frames)
+    winner = np.minimum.reduceat(candidates, trace.starts, axis=0)
+    dv = np.zeros_like(trace.v)
+    np.put_along_axis(dv, winner, dpooled, axis=0)
 
-        dz2 = dv * (tr.z2 > 0.0)
-        flat_dz2 = dz2.reshape(-1, shape.channels)
-        flat_u = tr.u.reshape(-1, shape.channels)
-        grads["mix.weight"] += flat_dz2.T @ flat_u
-        grads["mix.bias"] += dz2.sum(axis=(0, 1))
-        du = dz2 @ params["mix.weight"]
-
-        dz1 = du * (tr.z1 > 0.0)
-        flat_dz1 = dz1.reshape(-1, shape.channels)
-        flat_x = tr.x.reshape(-1, shape.band_pixels)
-        grads["frame.weight"] += flat_dz1.T @ flat_x
-        grads["frame.bias"] += dz1.sum(axis=(0, 1))
-
-    return grads
+    # rows of the flattened stacks are (frame, band) pairs in input order
+    dz2 = (dv * (trace.v > 0.0)).reshape(-1, shape.channels)
+    u = trace.u.reshape(-1, shape.channels)
+    grads["mix.weight"] = dz2.T @ u
+    grads["mix.bias"] = dz2.sum(axis=0)
+    dz1 = (dz2 @ params["mix.weight"]) * (u > 0.0)
+    grads["frame.weight"] = dz1.T @ trace.x.reshape(-1, shape.band_pixels)
+    grads["frame.bias"] = dz1.sum(axis=0)
+    return {name: grads[name] for name, _ in _param_layout(shape)}
 
 
 def save_checkpoint(params: EncoderParams, path: str | Path) -> None:
@@ -347,7 +340,7 @@ def save_checkpoint(params: EncoderParams, path: str | Path) -> None:
             for name, t in params.tensors.items()
         },
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    write_text_atomic(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> EncoderParams:

@@ -31,7 +31,7 @@ from .encoder import (
     EncoderShape,
     SilhouetteSequence,
     encode_backward,
-    encode_sequence,
+    encode_batch,
     init_params,
 )
 from .losses import anchor_neighborhood_loss, softmax_row, triplet_loss
@@ -205,10 +205,10 @@ def pretrain_source(
         losses = []
         for _ in range(batches_per_epoch):
             batch = sample_pk_batch(seqs, cfg.batch_p, cfg.batch_k, rng)
-            emb = np.stack([encode_sequence(s, params) for s in batch])
+            trace = encode_batch(batch, params)
             labels = [s.identity for s in batch]
-            loss, demb = triplet_loss(emb, labels, cfg.margin)
-            grads = encode_backward(batch, params, demb)
+            loss, demb = triplet_loss(trace.embeddings, labels, cfg.margin)
+            grads = encode_backward(batch, params, demb, trace=trace)
             _sgd_step(params, grads, lr)
             losses.append(loss)
         log.add(stage="pretrain", round_index=0, epoch=epoch,
@@ -284,11 +284,12 @@ def adapt_target(
             lr = lr_at(epoch_global, cfg)
             rng = seed_stream(cfg.seed, _ROLE_ADAPT, r, e)
             order = rng.permutation(len(pool))
-            epoch_losses = []
+            epoch_loss = 0.0
             for start in range(0, len(order), cfg.adapt_batch_size):
                 batch_ids = [pool[i] for i in order[start:start + cfg.adapt_batch_size]]
                 batch_seqs = [by_sample[sid] for sid in batch_ids]
-                fresh = np.stack([encode_sequence(s, params) for s in batch_seqs])
+                trace = encode_batch(batch_seqs, params)
+                fresh = trace.embeddings
                 anchors = []
                 for vec, sid in zip(fresh, batch_ids):
                     idx = bank.index[sid]
@@ -296,12 +297,13 @@ def adapt_target(
                                       include_self=cfg.include_self)
                     anchors.append((idx, row))
                 loss, demb = anchor_neighborhood_loss(anchors, hood_index, bank)
-                grads = encode_backward(batch_seqs, params, demb)
+                grads = encode_backward(batch_seqs, params, demb, trace=trace)
                 _sgd_step(params, grads, lr)
                 update_bank(bank, batch_ids, fresh)
-                epoch_losses.append(loss)
+                epoch_loss += loss
+            # the loss is a sum over anchors; log its mean per anchor
             log.add(stage="adapt", round_index=r, epoch=epoch_global,
-                    loss=float(np.mean(epoch_losses)) if epoch_losses else 0.0,
+                    loss=epoch_loss / len(pool),
                     learning_rate=lr, wall_time=time.perf_counter() - t0)
         rounds.append(RoundState(schedule=schedule, neighborhoods=hoods, bank=bank))
     return params, log, rounds

@@ -1,11 +1,14 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaitadapt
 from gaitadapt.cli import build_parser, main
 from gaitadapt.config import ExperimentConfig, load_config, save_config
 from gaitadapt.pipeline import desk_preset
@@ -103,6 +106,13 @@ class TestGenData:
         assert main(["gen-data", "--config", str(cfg_file), "--out", str(out),
                      "--seed", "9"]) == 0
         assert load_config(out / "resolved_config.json").train.seed == 9
+
+    def test_batch_the_source_cannot_fill_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(_tiny_config(batch_k=7), cfg_path)  # tiny source: 6 per identity
+        rc = main(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("ERROR E_CONFIG: batch_k 7 exceeds")
 
     def test_preset_without_config_resolves(self, tmp_path):
         # full desk preset is too slow here; just check the config resolution
@@ -263,6 +273,26 @@ class TestAblate:
                    str(tmp_path / "o"), "--seeds", ","])
         assert rc == 1
         assert capsys.readouterr().err.startswith("ERROR E_CONFIG:")
+
+
+def test_adapted_checkpoint_independent_of_blas_threads(cfg_file, tmp_path):
+    src = str(Path(gaitadapt.__file__).resolve().parents[1])
+
+    def pipeline(threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = tmp_path / f"threads{threads}"
+        for argv in (["gen-data", "--out", run / "data"],
+                     ["pretrain", "--data", run / "data" / "source", "--out", run / "pre"],
+                     ["adapt", "--data", run / "data" / "target", "--checkpoint",
+                      run / "pre" / "checkpoint.json", "--out", run / "adapt"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "gaitadapt.cli", *map(str, argv), "--config", str(cfg_file)],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+        return (run / "adapt" / "checkpoint.json").read_bytes()
+
+    assert pipeline(1) == pipeline(2)
 
 
 class TestLogging:

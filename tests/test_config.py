@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -10,10 +11,14 @@ from gaitadapt.config import (
     default_source_spec,
     default_target_spec,
     load_config,
+    paper_source_spec,
     preset_config,
     save_config,
     separable_source_spec,
 )
+from gaitadapt.data import generate_domain, load_dataset, sample_pk_batch
+from gaitadapt.numerics import make_rng
+from gaitadapt.pipeline import desk_preset
 
 
 class TestDefaults:
@@ -38,14 +43,34 @@ class TestDefaults:
 
 
 class TestPresets:
-    def test_desk_and_reference_differ_in_training_only(self):
+    def test_desk_and_reference_share_encoder_and_target(self):
         desk, ref = preset_config("desk"), preset_config("paper")
         assert desk.encoder == ref.encoder
-        assert desk.source == ref.source
+        assert desk.source == default_source_spec()
+        assert ref.source == paper_source_spec() != desk.source
+        assert dataclasses.replace(ref.source, walks=desk.source.walks) == desk.source
         assert desk.target == ref.target
         assert desk.train != ref.train
         assert desk.train.pretrain_epochs == 250
         assert ref.train.pretrain_epochs == 200
+
+    @pytest.mark.parametrize("name", ["desk", "paper"])
+    def test_every_preset_draws_a_batch_from_its_own_source(self, name, tmp_path):
+        cfg = preset_config(name)
+        generate_domain(cfg.source, tmp_path, "source", seed=1)
+        train = load_dataset(tmp_path).split("train")
+        batch = sample_pk_batch(train, cfg.train.batch_p, cfg.train.batch_k, make_rng(1))
+        assert len(batch) == cfg.train.batch_p * cfg.train.batch_k
+        assert cfg.check_batches() is cfg
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("batch_k", 11, "batch_k 11 exceeds the 10 sequences"),
+        ("batch_p", 21, "batch_p 21 exceeds the 20 training identities"),
+    ])
+    def test_batches_the_source_cannot_fill_are_rejected(self, field, value, match):
+        cfg = ExperimentConfig(train=desk_preset(**{field: value}))
+        with pytest.raises(ConfigError, match=match):
+            cfg.check_batches()
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):

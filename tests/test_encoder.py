@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
+import gaitadapt.encoder as encoder_module
 from gaitadapt.encoder import (
     EncoderParams,
     EncoderShape,
     SilhouetteSequence,
     encode_backward,
-    encode_frame,
+    encode_batch,
     encode_sequence,
     init_params,
     load_checkpoint,
-    pyramid_map,
     save_checkpoint,
-    set_pool,
     zero_grads,
 )
 from gaitadapt.numerics import DegenerateInputError, make_rng, seed_stream
@@ -108,13 +107,6 @@ class TestForward:
             assert np.array_equal(encode_sequence(seq, small_params),
                                   encode_sequence(shuffled, small_params))
 
-    def test_matches_public_stage_composition(self, small_params):
-        rng = make_rng(12)
-        seq = _seq(rng, frames=5)
-        pooled = set_pool([encode_frame(f, small_params) for f in seq.frames])
-        assert np.array_equal(encode_sequence(seq, small_params),
-                              pyramid_map(pooled, small_params))
-
     def test_matches_loop_oracle(self, small_params):
         # independent scalar-loop reimplementation of the whole forward pass
         sh = SMALL_SHAPE
@@ -162,18 +154,34 @@ class TestForward:
         with pytest.raises(ValueError, match="bad-nm-01-000"):
             encode_sequence(seq, small_params)
 
+    @pytest.mark.parametrize("shape", [SMALL_SHAPE, EncoderShape(24, 24, 8, 16, 3, 112)])
+    def test_batch_rows_match_single_encodings_bitwise(self, shape, monkeypatch):
+        rng = make_rng(15)
+        params = init_params(shape, seed_stream(15, 0))
+        seqs = [_seq(rng, shape, frames=int(k), sid=f"b{i}-nm-01-000")
+                for i, k in enumerate([1, 3, 12, 2, 7, 1, 30, 5])]
+        single = np.stack([encode_sequence(s, params) for s in seqs])
+        assert np.array_equal(encode_batch(seqs, params).embeddings, single)
+        monkeypatch.setattr(encoder_module, "CHUNK_FRAMES", 8)
+        assert np.array_equal(encoder_module.encode_sequences(seqs, params), single)
+
+    def test_empty_batch_rejected(self, small_params):
+        with pytest.raises(ValueError, match="at least one sequence"):
+            encode_batch([], small_params)
+
+    def test_degenerate_batch_member_names_sample(self):
+        params = init_params(SMALL_SHAPE, make_rng(14))
+        live = _seq(make_rng(16), sid="live-nm-01-000")
+        dead = SilhouetteSequence(
+            frames=np.zeros((2, SMALL_SHAPE.height, SMALL_SHAPE.width), dtype=np.uint8),
+            sample_id="dead-nm-01-000")
+        with pytest.raises(DegenerateInputError, match="dead-nm-01-000"):
+            encode_batch([live, dead], params)
+
     def test_sequence_rejects_nonbinary_frames(self):
         frames = np.full((1, 8, 8), 3, dtype=np.uint8)
         with pytest.raises(ValueError, match="binary"):
             SilhouetteSequence(frames=frames, sample_id="x-nm-01-000")
-
-    def test_set_pool_rejects_empty(self):
-        with pytest.raises(ValueError):
-            set_pool([])
-
-    def test_pyramid_map_rejects_wrong_shape(self, small_params):
-        with pytest.raises(ValueError):
-            pyramid_map(np.zeros((5, 3)), small_params)
 
 
 class TestBackward:
@@ -215,6 +223,40 @@ class TestBackward:
                 denom = max(np.linalg.norm(fd), 1e-12)
                 assert np.linalg.norm(a - fd) / denom <= 1e-5, f"seed {seed} {name}"
                 assert np.allclose(a, fd, rtol=1e-5, atol=1e-8), f"seed {seed} {name}"
+
+    def test_reused_trace_matches_recomputed_forward(self, small_params):
+        rng = make_rng(24)
+        seqs = [_seq(rng, frames=k, sid=f"r{k}-nm-01-000") for k in (1, 4, 2)]
+        gs = rng.standard_normal((3, SMALL_SHAPE.embed_dim))
+        fresh = encode_backward(seqs, small_params, gs)
+        reused = encode_backward(seqs, small_params, gs,
+                                 trace=encode_batch(seqs, small_params))
+        for name in small_params.names():
+            assert np.array_equal(fresh[name], reused[name]), name
+        with pytest.raises(ValueError, match="trace"):
+            encode_backward(seqs[:2], small_params, gs[:2],
+                            trace=encode_batch(seqs, small_params))
+
+    def test_tied_cells_route_to_lowest_index_frame(self):
+        # pixel 0 has zero weight, so two frames that differ only there tie
+        # in every pooled cell; only the winner's pixel reaches the gradient
+        params = init_params(SMALL_SHAPE, seed_stream(25, 0))
+        params.tensors["frame.weight"][:, 0] = 0.0
+        for name in ("frame.bias", "mix.bias"):
+            params.tensors[name] += 0.5
+        base = (make_rng(25).random((SMALL_SHAPE.height, SMALL_SHAPE.width)) < 0.5)
+        base = base.astype(np.uint8)
+        base[0, 0] = 0
+        marked = base.copy()
+        marked[0, 0] = 1
+        g = [make_rng(26).standard_normal(SMALL_SHAPE.embed_dim)]
+
+        def pixel0_grad(frames):
+            seq = SilhouetteSequence(frames=np.stack(frames), sample_id="tie-nm-01-000")
+            return encode_backward([seq], params, g)["frame.weight"][:, 0]
+
+        assert np.array_equal(pixel0_grad([base, marked]), np.zeros(SMALL_SHAPE.channels))
+        assert np.any(pixel0_grad([marked, base]) != 0.0)
 
     def test_accumulates_over_sequences(self, small_params):
         rng = make_rng(20)

@@ -1,0 +1,57 @@
+"""Artifacts that later runs load are replaced atomically."""
+
+import json
+import pathlib
+
+import numpy as np
+import pytest
+
+from gaitadapt.config import load_config, preset_config, save_config
+from gaitadapt.encoder import init_params, load_checkpoint, save_checkpoint
+from gaitadapt.numerics import seed_stream
+
+from conftest import PIPE_SHAPE
+
+
+def _params(seed):
+    return init_params(PIPE_SHAPE, seed_stream(seed, 0))
+
+
+WRITERS = {
+    "checkpoint": (save_checkpoint, load_checkpoint, _params(1), _params(2),
+                   lambda a, b: all(np.array_equal(a[n], b[n]) for n in a.names())),
+    "config": (save_config, load_config, preset_config("desk"), preset_config("paper"),
+               lambda a, b: a.to_dict() == b.to_dict()),
+}
+
+
+def _fail_in_serializer(monkeypatch):
+    def dumps(*args, **kwargs):
+        raise RuntimeError("serializer failed")
+    monkeypatch.setattr(json, "dumps", dumps)
+
+
+def _fail_halfway_through_the_write(monkeypatch):
+    real = pathlib.Path.write_text
+
+    def write_text(self, text, *args, **kwargs):
+        real(self, text[:len(text) // 2], *args, **kwargs)
+        raise OSError("no space left on device")
+    monkeypatch.setattr(pathlib.Path, "write_text", write_text)
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+@pytest.mark.parametrize("fail", [_fail_in_serializer, _fail_halfway_through_the_write])
+def test_interrupted_write_leaves_no_partial_file(writer, fail, tmp_path, monkeypatch):
+    save, load, old, new, same = WRITERS[writer]
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    save(old, kept)
+    with monkeypatch.context() as m:
+        fail(m)
+        with pytest.raises((RuntimeError, OSError)):
+            save(new, fresh)
+        with pytest.raises((RuntimeError, OSError)):
+            save(new, kept)
+    assert not fresh.exists()
+    assert same(load(kept), old)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json"]

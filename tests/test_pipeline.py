@@ -178,6 +178,16 @@ class TestAdapt:
         assert _params_equal(a, b)
         assert [r.loss for r in loga.records] == [r.loss for r in logb.records]
 
+    def test_logged_loss_is_a_mean_per_anchor(self, target_train, pretrained):
+        # at rate 0 neither the encoder nor the bank moves, so each anchor's
+        # loss is the same for every batch size and so is the logged value
+        logs = [adapt_target(target_train, pretrained,
+                             _small_cfg(adapt_learning_rate=0.0, adapt_batch_size=b))[1]
+                for b in (1, 4, 18)]
+        want = [r.loss for r in logs[0].records]
+        for log in logs[1:]:
+            assert [r.loss for r in log.records] == pytest.approx(want, rel=1e-9)
+
     def test_input_params_not_mutated(self, target_train, pretrained):
         snapshot = pretrained.copy()
         adapt_target(target_train, pretrained, _small_cfg())
