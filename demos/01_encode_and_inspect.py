@@ -16,7 +16,7 @@ import numpy as np
 from gaitadapt.config import default_source_spec, default_encoder_shape
 from gaitadapt.data import generate_domain, load_dataset
 from gaitadapt.encoder import init_params, encode_sequence
-from gaitadapt.numerics import make_rng, pairwise_similarity
+from gaitadapt.numerics import make_rng
 
 spec = dataclasses.replace(default_source_spec(), identities=6, test_identities=2)
 print(f"domain: {spec.identities}+{spec.test_identities} identities, "
@@ -49,7 +49,7 @@ for s in train:
     by_id.setdefault(s.identity, []).append(s)
 some = by_id["S001"][:3] + by_id["S002"][:2] + by_id["S003"][:1]
 embs = np.stack([encode_sequence(s, params) for s in some])
-sims = pairwise_similarity(embs, embs)
+sims = embs @ embs.T  # unit rows: dot products are cosines
 print("\ncosine similarities (untrained encoder):")
 for i, a in enumerate(some):
     for j, b in enumerate(some):

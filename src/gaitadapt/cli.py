@@ -121,8 +121,7 @@ def cmd_pretrain(args) -> None:
     ctx = RunContext(args.out, "pretrain", args.force)
     try:
         _write_snapshot(ctx, cfg, {"out": str(args.out), "data": str(args.data)})
-        dataset = load_dataset(args.data)
-        train = dataset.split("train")
+        train = load_dataset(args.data, split="train").sequences
         if not train:
             raise DatasetError(f"{args.data} has no train split")
         params, runlog = pretrain_source(train, cfg.encoder, cfg.train)
@@ -144,8 +143,7 @@ def cmd_adapt(args) -> None:
             "out": str(args.out), "data": str(args.data),
             "checkpoint": str(args.checkpoint),
         })
-        dataset = load_dataset(args.data)
-        train = dataset.split("train")
+        train = load_dataset(args.data, split="train").sequences
         if not train:
             raise DatasetError(f"{args.data} has no train split")
         params = load_checkpoint(args.checkpoint)
@@ -165,8 +163,7 @@ def cmd_adapt(args) -> None:
 def _evaluate_checkpoint(checkpoint_path, data_root, convention, gallery_size,
                          first_to_gallery=True) -> dict:
     params = load_checkpoint(checkpoint_path)
-    dataset = load_dataset(data_root)
-    test = dataset.split("test")
+    test = load_dataset(data_root, split="test").sequences
     if not test:
         raise DatasetError(f"{data_root} has no test split")
     embeddings = dict(zip([s.sample_id for s in test], encode_sequences(test, params)))
@@ -235,9 +232,9 @@ def run_ablation(cfg: ExperimentConfig, out: Path, seeds: list[int],
         generate_domain(cfg.source, src_root, "source", seed)
         generate_domain(cfg.target, tgt_root, "target", seed)
 
-        source = load_dataset(src_root)
-        target = load_dataset(tgt_root)
-        params, runlog = pretrain_source(source.split("train"), cfg.encoder, seed_cfg)
+        source = load_dataset(src_root, split="train").sequences
+        target = load_dataset(tgt_root, split="train").sequences
+        params, runlog = pretrain_source(source, cfg.encoder, seed_cfg)
         pre_ckpt = seed_dir / "pretrained.json"
         save_checkpoint(params, pre_ckpt)
         runlog.to_csv(seed_dir / "pretrain_runlog.csv")
@@ -247,8 +244,7 @@ def run_ablation(cfg: ExperimentConfig, out: Path, seeds: list[int],
         for strategy in ("high", "low", "random"):
             log.info("  strategy %s", strategy)
             strat_cfg = dataclasses.replace(seed_cfg, strategy=strategy)
-            adapted, alog, rounds = adapt_target(
-                target.split("train"), params, strat_cfg)
+            adapted, alog, rounds = adapt_target(target, params, strat_cfg)
             ck = seed_dir / f"adapted_{strategy}.json"
             save_checkpoint(adapted, ck)
             alog.to_csv(seed_dir / f"adapt_{strategy}_runlog.csv")

@@ -398,11 +398,15 @@ def load_manifest(root: str | Path) -> DatasetManifest:
     return DatasetManifest(root, doc["domain"], doc["height"], doc["width"], records)
 
 
-def load_dataset(root: str | Path) -> Dataset:
-    """Load every sequence listed in the manifest, validating binary pixels."""
+def load_dataset(root: str | Path, split: str | None = None) -> Dataset:
+    """Load the sequences listed in the manifest, validating binary pixels.
+
+    With a split name only that split's frames are read; the manifest
+    still lists every record.
+    """
     manifest = load_manifest(root)
     sequences = []
-    for rec in manifest.records:
+    for rec in manifest.records if split is None else manifest.split(split):
         seq_dir = manifest.root / rec.path
         frames = np.empty((rec.frame_count, manifest.height, manifest.width), dtype=np.uint8)
         for t in range(rec.frame_count):

@@ -3,6 +3,10 @@
 Holds the memory bank of stored embeddings, k-nearest-neighbor anchor
 neighborhoods, per-sample entropy ranking, and the progressive round-based
 anchor selection (round r of R trains on the top r/R fraction).
+
+The bank-against-bank similarities are scanned in blocks of BLOCK_ROWS
+rows, so no N x N array is ever held; kNN discovery and the entropy
+ranking each make one such pass.
 """
 
 from __future__ import annotations
@@ -14,10 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EncoderParams, SilhouetteSequence, encode_sequences
-from .losses import entropy, softmax_row
-from .numerics import l2_normalize
+from .losses import log_softmax_rows, row_entropies
+from .numerics import NORM_EPS, DegenerateInputError
 
 STRATEGIES = ("high", "low", "random")
+
+# Bank rows per block of the similarity pass: a block holds BLOCK_ROWS x N
+# similarities (4 MB at N = 2 000).
+BLOCK_ROWS = 256
 
 
 @dataclass
@@ -60,16 +68,31 @@ def update_bank(
     sample_ids: list[str],
     fresh: np.ndarray,
 ) -> MemoryBank:
-    """entry <- normalize(mu * old + (1 - mu) * fresh) for the given samples."""
+    """entry <- normalize(mu * old + (1 - mu) * fresh) for the given samples.
+
+    All rows update in one step from the old entries, so an id may appear
+    only once per call.
+    """
     fresh = np.asarray(fresh, dtype=np.float64)
     if fresh.shape != (len(sample_ids), bank.entries.shape[1]):
         raise ValueError(f"fresh embeddings shape {fresh.shape} does not match ids")
-    mu = bank.momentum
-    for sid, vec in zip(sample_ids, fresh):
-        i = bank.index.get(sid)
-        if i is None:
+    seen: set[str] = set()
+    for sid in sample_ids:
+        if sid not in bank.index:
             raise ValueError(f"unknown sample id {sid!r}")
-        bank.entries[i] = l2_normalize(mu * bank.entries[i] + (1.0 - mu) * vec)
+        if sid in seen:
+            raise ValueError(f"sample id {sid!r} appears more than once in one update")
+        seen.add(sid)
+    idx = np.array([bank.index[sid] for sid in sample_ids], dtype=np.intp)
+    mu = bank.momentum
+    mixed = mu * bank.entries[idx] + (1.0 - mu) * fresh
+    norms = np.linalg.norm(mixed, axis=1)
+    small = np.flatnonzero(norms <= NORM_EPS)
+    if small.size:
+        raise DegenerateInputError(
+            f"sample {sample_ids[small[0]]!r}: cannot normalize updated entry"
+            f" with norm {float(norms[small[0]])!r}")
+    bank.entries[idx] = mixed / norms[:, None]
     return bank
 
 
@@ -94,6 +117,35 @@ def _id_rank(ids: tuple[str, ...]) -> np.ndarray:
     return rank
 
 
+def _row_blocks(n: int):
+    for lo in range(0, n, BLOCK_ROWS):
+        yield lo, min(lo + BLOCK_ROWS, n)
+
+
+def _top_k(sims: np.ndarray, rank: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k largest similarities, (B, k).
+
+    Ordered by similarity descending, then by rank ascending. The k-th
+    largest value comes from a partition; every column at or above it is
+    a candidate (all ties at the boundary included), and only those
+    candidates are sorted.
+    """
+    b, n = sims.shape
+    kth = np.partition(sims, n - k, axis=1)[:, n - k]
+    rows, cols = np.nonzero(sims >= kth[:, None])
+    counts = np.bincount(rows, minlength=b)
+    pos = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    # padding sorts after every candidate
+    neg_sim = np.full((b, counts.max()), np.inf)
+    cand_rank = np.full(neg_sim.shape, n, dtype=np.intp)
+    cand = np.zeros(neg_sim.shape, dtype=np.intp)
+    neg_sim[rows, pos] = -sims[rows, cols]
+    cand_rank[rows, pos] = rank[cols]
+    cand[rows, pos] = cols
+    order = np.lexsort((cand_rank, neg_sim), axis=1)[:, :k]
+    return np.take_along_axis(cand, order, axis=1)
+
+
 def discover_neighborhoods(bank: MemoryBank, k: int) -> dict[str, Neighborhood]:
     """k highest-cosine neighbors per sample, self excluded, ties to lower id.
 
@@ -105,16 +157,16 @@ def discover_neighborhoods(bank: MemoryBank, k: int) -> dict[str, Neighborhood]:
         raise ValueError(f"k must be >= 1, got {k}")
     if k >= n:
         raise ValueError(f"k = {k} must be smaller than the bank size {n}")
-    sims = bank.entries @ bank.entries.T
     rank = _id_rank(bank.ids)
-    out: dict[str, Neighborhood] = {}
-    for i in range(n):
-        row = sims[i].copy()
-        row[i] = -np.inf
-        order = np.lexsort((rank, -row))  # similarity desc, then id asc
-        neighbors = tuple(bank.ids[j] for j in order[:k])
-        out[bank.ids[i]] = Neighborhood(bank.ids[i], neighbors)
-    return out
+    neighbors = np.empty((n, k), dtype=np.intp)
+    for lo, hi in _row_blocks(n):
+        sims = bank.entries[lo:hi] @ bank.entries.T
+        sims[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf
+        neighbors[lo:hi] = _top_k(sims, rank, k)
+    return {
+        sid: Neighborhood(sid, tuple(bank.ids[j] for j in row))
+        for sid, row in zip(bank.ids, neighbors)
+    }
 
 
 @dataclass(frozen=True)
@@ -145,10 +197,10 @@ class CurriculumSchedule:
 def bank_entropies(bank: MemoryBank, tau: float, include_self: bool = True) -> np.ndarray:
     """Softmax-row entropy of every stored sample against the whole bank."""
     h = np.empty(bank.size, dtype=np.float64)
-    for i in range(bank.size):
-        row = softmax_row(bank.entries[i], bank, tau, anchor_index=i,
-                          include_self=include_self)
-        h[i] = entropy(row)
+    for lo, hi in _row_blocks(bank.size):
+        log_probs = log_softmax_rows(bank.entries[lo:hi], bank, tau,
+                                     np.arange(lo, hi), include_self)
+        h[lo:hi] = row_entropies(log_probs)
     return h
 
 

@@ -260,10 +260,6 @@ def encode_sequences(seqs: list[SilhouetteSequence], params: EncoderParams) -> n
     return np.concatenate(rows)
 
 
-def zero_grads(shape: EncoderShape) -> dict[str, np.ndarray]:
-    return {name: np.zeros(dims, dtype=np.float64) for name, dims in _param_layout(shape)}
-
-
 def encode_backward(
     seqs: list[SilhouetteSequence],
     params: EncoderParams,

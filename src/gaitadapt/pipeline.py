@@ -34,7 +34,7 @@ from .encoder import (
     encode_batch,
     init_params,
 )
-from .losses import anchor_neighborhood_loss, softmax_row, triplet_loss
+from .losses import log_softmax_rows, neighborhood_loss, triplet_loss
 from .numerics import seed_stream
 
 # rng stream roles
@@ -261,22 +261,21 @@ def adapt_target(
             seed_stream(cfg.seed, _ROLE_ADAPT, r, 0),
             include_self=cfg.include_self,
         )
-        # bank indices of each sample's neighborhood (anchor included)
-        hood_index = {
-            bank.index[sid]: frozenset(
-                {bank.index[sid]} | {bank.index[n] for n in hoods[sid].neighbor_ids}
-            )
-            for sid in bank.ids
-        }
+        # members[i]: bank indices of sample i's neighborhood, itself first
+        members = np.array(
+            [[i] + [bank.index[n] for n in hoods[sid].neighbor_ids]
+             for i, sid in enumerate(bank.ids)], dtype=np.intp)
         selected = list(schedule.selected)
         if cfg.self_terms_for_unselected:
             chosen = set(selected)
-            pool = selected + [sid for sid in bank.ids if sid not in chosen]
-            for sid in bank.ids:
-                if sid not in chosen:
-                    hood_index[bank.index[sid]] = frozenset({bank.index[sid]})
+            unselected = [sid for sid in bank.ids if sid not in chosen]
+            pool = selected + unselected
+            # a neighborhood of itself alone: the repeats count once
+            alone = np.array([bank.index[sid] for sid in unselected], dtype=np.intp)
+            members[alone] = alone[:, None]
         else:
             pool = selected
+        pool_index = np.array([bank.index[sid] for sid in pool], dtype=np.intp)
 
         for e in range(1, cfg.epochs_per_round + 1):
             t0 = time.perf_counter()
@@ -286,17 +285,14 @@ def adapt_target(
             order = rng.permutation(len(pool))
             epoch_loss = 0.0
             for start in range(0, len(order), cfg.adapt_batch_size):
-                batch_ids = [pool[i] for i in order[start:start + cfg.adapt_batch_size]]
+                picks = order[start:start + cfg.adapt_batch_size]
+                batch_ids = [pool[i] for i in picks]
                 batch_seqs = [by_sample[sid] for sid in batch_ids]
                 trace = encode_batch(batch_seqs, params)
                 fresh = trace.embeddings
-                anchors = []
-                for vec, sid in zip(fresh, batch_ids):
-                    idx = bank.index[sid]
-                    row = softmax_row(vec, bank, cfg.tau, anchor_index=idx,
-                                      include_self=cfg.include_self)
-                    anchors.append((idx, row))
-                loss, demb = anchor_neighborhood_loss(anchors, hood_index, bank)
+                idx = pool_index[picks]
+                log_probs = log_softmax_rows(fresh, bank, cfg.tau, idx, cfg.include_self)
+                loss, demb = neighborhood_loss(log_probs, idx, members[idx], bank, cfg.tau)
                 grads = encode_backward(batch_seqs, params, demb, trace=trace)
                 _sgd_step(params, grads, lr)
                 update_bank(bank, batch_ids, fresh)

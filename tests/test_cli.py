@@ -155,7 +155,8 @@ class TestPretrain:
                                               capsys):
         broken = tmp_path / "broken_src"
         shutil.copytree(data_dir / "source", broken)
-        victim = next(broken.rglob("frame0000.pgm"))
+        # pretrain reads only the train split, so corrupt a frame there
+        victim = next((broken / "train").rglob("frame0000.pgm"))
         raw = bytearray(victim.read_bytes())
         raw[-1] = 7
         victim.write_bytes(bytes(raw))
@@ -228,6 +229,22 @@ class TestEval:
         assert rc == 0
         doc = json.loads((out / "results.json").read_text())
         assert doc["convention"] == "first-sequence-gallery"
+
+    def test_reads_only_the_test_split(self, cfg_file, data_dir, pretrain_dir,
+                                       tmp_path):
+        data = tmp_path / "target"
+        shutil.copytree(data_dir / "target", data)
+        next((data / "train").rglob("frame0000.pgm")).unlink()
+        out = tmp_path / "ev3"
+        rc = main(["eval", "--config", str(cfg_file), "--out", str(out),
+                   "--data", str(data),
+                   "--checkpoint", str(pretrain_dir / "checkpoint.json")])
+        assert rc == 0
+        ref = tmp_path / "ev4"
+        assert main(["eval", "--config", str(cfg_file), "--out", str(ref),
+                     "--data", str(data_dir / "target"),
+                     "--checkpoint", str(pretrain_dir / "checkpoint.json")]) == 0
+        assert (out / "results.json").read_bytes() == (ref / "results.json").read_bytes()
 
     def test_missing_config_file_is_config_error(self, tmp_path, capsys):
         rc = main(["eval", "--config", str(tmp_path / "none.json"), "--out",

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -253,6 +254,21 @@ class TestLoadErrors:
         next(root.rglob("frame0001.pgm")).unlink()
         with pytest.raises(DatasetError, match="M001-nm-01-090.*missing frame"):
             load_dataset(root)
+
+    def test_split_load_reads_only_that_split(self, tiny_source_dir, tmp_path):
+        root = tmp_path / "src"
+        shutil.copytree(tiny_source_dir, root)
+        full = load_dataset(root)
+        next((root / "test").rglob("frame0000.pgm")).unlink()
+        train = load_dataset(root, split="train")
+        assert [s.sample_id for s in train.sequences] == [
+            s.sample_id for s in full.split("train")]
+        assert all(np.array_equal(a.frames, b.frames)
+                   for a, b in zip(train.sequences, full.split("train")))
+        assert train.split("test") == []
+        assert len(train.manifest.records) == len(full.manifest.records)
+        with pytest.raises(DatasetError, match="missing frame"):
+            load_dataset(root, split="test")
 
     def test_wrong_frame_shape_names_sample(self, tmp_path):
         root = self._micro(tmp_path)

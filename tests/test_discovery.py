@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gaitadapt.discovery import (
+    BLOCK_ROWS,
     CurriculumSchedule,
     MemoryBank,
     Neighborhood,
@@ -17,7 +18,7 @@ from gaitadapt.discovery import (
 )
 from gaitadapt.encoder import SilhouetteSequence, encode_sequence, init_params
 from gaitadapt.losses import entropy, softmax_row
-from gaitadapt.numerics import make_rng, seed_stream
+from gaitadapt.numerics import DegenerateInputError, make_rng, seed_stream
 
 from conftest import SMALL_SHAPE, random_sequences, random_unit_rows
 
@@ -106,6 +107,32 @@ class TestUpdateBank:
         with pytest.raises(ValueError, match="shape"):
             update_bank(bank, ["a"], np.ones((1, 3)))
 
+    def test_duplicate_ids_rejected(self):
+        # one vectorised step cannot compound a repeated id; refuse it
+        bank = MemoryBank(("a", "b"), np.eye(2))
+        with pytest.raises(ValueError, match="'a' appears more than once"):
+            update_bank(bank, ["a", "b", "a"], np.eye(2)[[1, 0, 1]])
+        assert np.array_equal(bank.entries, np.eye(2))
+
+    def test_zero_norm_update_is_degenerate(self):
+        bank = MemoryBank(("a", "b"), np.eye(2), momentum=0.5)
+        with pytest.raises(DegenerateInputError, match="'b'"):
+            update_bank(bank, ["a", "b"], np.array([[0.0, 1.0], [0.0, -1.0]]))
+        assert np.array_equal(bank.entries, np.eye(2))
+
+    def test_matches_one_row_at_a_time(self):
+        rng = make_rng(14)
+        bank = _unit_bank(rng, 6, momentum=0.3)
+        ids = [bank.ids[4], bank.ids[1], bank.ids[2]]
+        fresh = random_unit_rows(rng, 3, 4)
+        want = bank.entries.copy()
+        for sid, vec in zip(ids, fresh):
+            i = bank.index[sid]
+            mixed = 0.3 * want[i] + 0.7 * vec
+            want[i] = mixed / np.linalg.norm(mixed)
+        update_bank(bank, ids, fresh)
+        assert np.allclose(bank.entries, want, rtol=0, atol=1e-15)
+
 
 class TestDiscoverNeighborhoods:
     @pytest.mark.parametrize("n,k", [(10, 1), (10, 3), (50, 3), (200, 5)])
@@ -152,6 +179,57 @@ class TestDiscoverNeighborhoods:
             discover_neighborhoods(bank, 0)
         with pytest.raises(ValueError, match="smaller than the bank"):
             discover_neighborhoods(bank, 4)
+
+
+def _tied_bank(n=600, d=4, seed=17):
+    """A bank over several row blocks with many exact ties.
+
+    Coordinates are multiples of 1/16 with |x| <= 1/2, so every dot product
+    is a multiple of 1/256 that doubles represent exactly whatever the
+    summation order: the oracle's similarities equal the blocked pass's bit
+    for bit, and its ties are the same ties. A third of the rows copy
+    another row, so equal similarities also come from equal entries.
+    """
+    rng = make_rng(seed)
+    entries = rng.integers(-8, 9, size=(n, d)) / 16.0
+    entries[np.all(entries == 0.0, axis=1), 0] = 0.5
+    copies = rng.choice(n, size=n // 3, replace=False)
+    entries[copies] = entries[rng.choice(n, size=n // 3)]
+    ids = [f"t{i:04d}" for i in range(n)]
+    rng.shuffle(ids)
+    return MemoryBank(tuple(ids), entries)
+
+
+class TestBlockedPass:
+    """Banks larger than one row block, with ties across block edges."""
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_neighbors_match_brute_force_in_order(self, k):
+        bank = _tied_bank()
+        n = bank.size
+        assert n > 2 * BLOCK_ROWS
+        got = discover_neighborhoods(bank, k)
+        boundary_ties = split_ties = 0
+        for i, sid in enumerate(bank.ids):
+            sims = bank.entries @ bank.entries[i]
+            cand = sorted((-sims[j], bank.ids[j], j) for j in range(n) if j != i)
+            assert got[sid].neighbor_ids == tuple(c[1] for c in cand[:k]), sid
+            tied = [c[2] for c in cand if c[0] == cand[k - 1][0]]
+            if cand[k][0] == cand[k - 1][0]:
+                boundary_ties += 1
+                split_ties += len({j // BLOCK_ROWS for j in tied}) > 1
+        # the data exercises the tie-break at the k-th place, across blocks
+        assert boundary_ties > n // 5 and split_ties > n // 10
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_entropies_match_single_rows(self, include_self):
+        bank = _tied_bank()
+        for tau in (0.05, 1e-3):
+            h = bank_entropies(bank, tau, include_self=include_self)
+            for i in range(bank.size):
+                row = softmax_row(bank.entries[i], bank, tau, anchor_index=i,
+                                  include_self=include_self)
+                assert h[i] == pytest.approx(entropy(row), abs=1e-12), (tau, i)
 
 
 class TestCurriculumSchedule:

@@ -12,7 +12,6 @@ from gaitadapt.encoder import (
     init_params,
     load_checkpoint,
     save_checkpoint,
-    zero_grads,
 )
 from gaitadapt.numerics import DegenerateInputError, make_rng, seed_stream
 
@@ -283,12 +282,6 @@ class TestBackward:
         rng = make_rng(23)
         with pytest.raises(ValueError, match="gradient shape"):
             encode_backward([_seq(rng)], small_params, [np.zeros(3)])
-
-    def test_zero_grads_layout(self):
-        z = zero_grads(SMALL_SHAPE)
-        assert set(z) == {"frame.weight", "frame.bias", "mix.weight", "mix.bias",
-                          "strip0.weight", "strip0.bias", "strip1.weight",
-                          "strip1.bias", "strip2.weight", "strip2.bias"}
 
 
 class TestCheckpoint:

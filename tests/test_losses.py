@@ -11,6 +11,9 @@ from gaitadapt.losses import (
     SoftmaxRow,
     anchor_neighborhood_loss,
     entropy,
+    log_softmax_rows,
+    neighborhood_loss,
+    row_entropies,
     softmax_row,
     triplet_loss,
 )
@@ -283,3 +286,87 @@ class TestAnchorNeighborhoodLoss:
                 x[j] = orig
                 fd[j] = (up - down) / (2 * h)
             assert np.allclose(grads[0], fd, rtol=1e-5, atol=1e-8), f"seed {seed}"
+
+    def test_finite_when_the_neighborhood_mass_underflows(self):
+        # at tau = 1e-3 the anchor's own entry has probability e^-1000, which
+        # is 0 in doubles; the log-space mass keeps the loss at 1000
+        bank = MemoryBank(("a", "b", "c"), np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]))
+        tau = 1e-3
+        x = np.array([0.0, 1.0])
+
+        def objective(vec):
+            row = softmax_row(vec, bank, tau, anchor_index=0)
+            return anchor_neighborhood_loss([(0, row)], {0: {0}}, bank)
+
+        assert softmax_row(x, bank, tau, anchor_index=0).probs[0] == 0.0
+        loss, grads = objective(x)
+        assert loss == pytest.approx(1000.0, rel=1e-12)
+        assert np.all(np.isfinite(grads))
+        h = 1e-6
+        fd = np.zeros(2)
+        for j in range(2):
+            orig = x[j]
+            x[j] = orig + h
+            up = objective(x)[0]
+            x[j] = orig - h
+            down = objective(x)[0]
+            x[j] = orig
+            fd[j] = (up - down) / (2 * h)
+        assert np.allclose(grads[0], fd, rtol=1e-5, atol=1e-8)
+
+
+class TestBatchedPath:
+    """The batched kernels against the one-anchor API built on them."""
+
+    def _bank(self, seed=16, n=12, d=5):
+        rng = make_rng(seed)
+        return MemoryBank(tuple(f"s{i:02d}" for i in range(n)),
+                          random_unit_rows(rng, n, d)), rng
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_rows_match_single_anchor_rows(self, include_self):
+        bank, rng = self._bank()
+        anchors = rng.standard_normal((4, 5))
+        idx = np.array([3, 0, 11, 7])
+        log_probs = log_softmax_rows(anchors, bank, 0.1, idx, include_self)
+        h = row_entropies(log_probs)
+        for b in range(4):
+            row = softmax_row(anchors[b], bank, 0.1, anchor_index=idx[b],
+                              include_self=include_self)
+            assert np.allclose(np.exp(log_probs[b]), row.probs, rtol=0, atol=1e-15)
+            assert h[b] == pytest.approx(entropy(row), abs=1e-12)
+            assert (log_probs[b, idx[b]] == -np.inf) == (not include_self)
+
+    def test_loss_matches_per_anchor_api(self):
+        bank, rng = self._bank()
+        anchors = rng.standard_normal((3, 5))
+        idx = np.array([2, 9, 5])
+        members = np.array([[2, 4, 4], [9, 0, 1], [5, 5, 5]])  # repeats count once
+        log_probs = log_softmax_rows(anchors, bank, 0.2, idx)
+        loss, grads = neighborhood_loss(log_probs, idx, members, bank, 0.2)
+        rows = [(int(i), softmax_row(a, bank, 0.2, anchor_index=int(i)))
+                for a, i in zip(anchors, idx)]
+        hoods = {2: {2, 4}, 9: {9, 0, 1}, 5: {5}}
+        want, gwant = anchor_neighborhood_loss(rows, hoods, bank)
+        assert loss == pytest.approx(want, abs=1e-12)
+        assert np.allclose(grads, gwant, rtol=0, atol=1e-12)
+
+    def test_members_must_include_the_anchor(self):
+        bank, rng = self._bank()
+        log_probs = log_softmax_rows(rng.standard_normal((2, 5)), bank, 0.2)
+        with pytest.raises(ValueError, match="bank index 6 must include itself"):
+            neighborhood_loss(log_probs, [1, 6], np.array([[1, 2], [5, 7]]), bank, 0.2)
+
+    def test_neighborhood_without_mass_is_refused(self):
+        # the anchor alone, with its own entry excluded: probability zero
+        bank, rng = self._bank()
+        log_probs = log_softmax_rows(rng.standard_normal((1, 5)), bank, 0.2, [4],
+                                     include_self=False)
+        with pytest.raises(ValueError, match="no probability mass"):
+            neighborhood_loss(log_probs, [4], np.array([[4]]), bank, 0.2)
+
+    def test_self_exclusion_needs_indices_in_range(self):
+        bank, rng = self._bank()
+        with pytest.raises(ValueError, match="anchor_index"):
+            log_softmax_rows(rng.standard_normal((2, 5)), bank, 0.2, [1, 12],
+                             include_self=False)
