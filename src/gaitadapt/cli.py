@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import os
 import shutil
@@ -30,7 +29,7 @@ from .config import (
 from .data import DatasetError, generate_domain, load_dataset
 from .encoder import encode_sequences, load_checkpoint, save_checkpoint
 from .evaluation import ProtocolError, make_protocol, rank1
-from .files import write_text_atomic
+from .files import write_json
 from .pipeline import adapt_target, dump_round_files, pretrain_source
 
 log = logging.getLogger("gaitadapt")
@@ -98,8 +97,7 @@ def _resolve_config(args) -> ExperimentConfig:
 
 def _write_snapshot(ctx: RunContext, cfg: ExperimentConfig, args_doc: dict) -> None:
     save_config(cfg, ctx.path("resolved_config.json"))
-    doc = {"verb": ctx.verb, "args": args_doc}
-    write_text_atomic(ctx.path("run_args.json"), json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    write_json(ctx.path("run_args.json"), {"verb": ctx.verb, "args": args_doc})
 
 
 def cmd_gen_data(args) -> None:
@@ -160,17 +158,13 @@ def cmd_adapt(args) -> None:
     log.info("adaptation done: %s", args.out)
 
 
-def _evaluate_checkpoint(checkpoint_path, data_root, convention, gallery_size,
-                         first_to_gallery=True) -> dict:
+def _evaluate_checkpoint(checkpoint_path, data_root, convention, gallery_size) -> dict:
     params = load_checkpoint(checkpoint_path)
     test = load_dataset(data_root, split="test").sequences
     if not test:
         raise DatasetError(f"{data_root} has no test split")
     embeddings = dict(zip([s.sample_id for s in test], encode_sequences(test, params)))
-    protocol = make_protocol(
-        test, convention=convention, gallery_size=gallery_size,
-        first_to_gallery=first_to_gallery,
-    )
+    protocol = make_protocol(test, convention=convention, gallery_size=gallery_size)
     plain = rank1(embeddings, protocol.with_exclusion(False))
     excl = rank1(embeddings, protocol.with_exclusion(True))
     return {
@@ -199,9 +193,7 @@ def cmd_eval(args) -> None:
         summary = _evaluate_checkpoint(
             args.checkpoint, args.data, args.convention, args.gallery_size,
         )
-        ctx.path("results.json").write_text(
-            json.dumps(summary, sort_keys=True, indent=1) + "\n"
-        )
+        write_json(ctx.path("results.json"), summary)
     except Exception:
         ctx.quarantine()
         raise

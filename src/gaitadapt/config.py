@@ -8,13 +8,12 @@ snapshot so it can be reproduced exactly.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import DomainSpec
 from .encoder import EncoderShape
-from .files import write_text_atomic
+from .files import read_json, write_json
 from .pipeline import TrainConfig, desk_preset, paper_preset
 
 CONFIG_VERSION = 1
@@ -71,13 +70,7 @@ class ExperimentConfig:
     target: DomainSpec = field(default_factory=default_target_spec)
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": CONFIG_VERSION,
-            "encoder": self.encoder.to_dict(),
-            "train": dataclasses.asdict(self.train),
-            "source": self.source.to_dict(),
-            "target": self.target.to_dict(),
-        }
+        return {"format_version": CONFIG_VERSION, **dataclasses.asdict(self)}
 
     def check_batches(self) -> "ExperimentConfig":
         """Raise ConfigError unless the source data can fill a P x K batch."""
@@ -97,19 +90,12 @@ class ExperimentConfig:
         version = doc.get("format_version", CONFIG_VERSION)
         if version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config format_version {version!r}")
+        sections = {"encoder": EncoderShape, "train": TrainConfig,
+                    "source": DomainSpec, "target": DomainSpec}
         try:
-            cfg = cls()
-            if "encoder" in doc:
-                cfg.encoder = EncoderShape.from_dict(doc["encoder"])
-            if "train" in doc:
-                cfg.train = TrainConfig(**doc["train"])
-            if "source" in doc:
-                cfg.source = DomainSpec.from_dict(doc["source"])
-            if "target" in doc:
-                cfg.target = DomainSpec.from_dict(doc["target"])
+            return cls(**{k: kind(**doc[k]) for k, kind in sections.items() if k in doc})
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from e
-        return cfg
 
 
 def preset_config(name: str) -> ExperimentConfig:
@@ -125,15 +111,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: {e}") from e
-    return ExperimentConfig.from_dict(doc)
+    return ExperimentConfig.from_dict(read_json(path, ConfigError))
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
-    write_text_atomic(path, json.dumps(cfg.to_dict(), sort_keys=True, indent=1) + "\n")
+    write_json(path, cfg.to_dict())
 
 
 def apply_overrides(cfg: ExperimentConfig, **train_overrides) -> ExperimentConfig:

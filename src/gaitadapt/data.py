@@ -10,7 +10,6 @@ described by a JSON manifest at the root.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +17,7 @@ import numpy as np
 from scipy import ndimage
 
 from .encoder import SilhouetteSequence
-from .files import write_text_atomic
+from .files import read_json, write_json
 from .numerics import seed_stream
 
 MANIFEST_NAME = "manifest.json"
@@ -62,6 +61,9 @@ class DomainSpec:
     id_prefix: str = "P"
 
     def __post_init__(self):
+        # JSON reads sequences back as lists
+        for name in ("views", "scale", "body_jitter"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not 0.0 <= self.noise < 0.5:
             raise ValueError(f"noise rate must be in [0, 0.5), got {self.noise!r}")
         if self.period < 4:
@@ -78,38 +80,6 @@ class DomainSpec:
     @property
     def sequences_per_identity(self) -> int:
         return sum(self.walks.values()) * len(self.views)
-
-    def to_dict(self) -> dict:
-        d = {
-            "identities": self.identities,
-            "test_identities": self.test_identities,
-            "walks": dict(self.walks),
-            "views": list(self.views),
-            "frames": self.frames,
-            "height": self.height,
-            "width": self.width,
-            "period": self.period,
-            "phase_jitter": self.phase_jitter,
-            "resample": self.resample,
-            "dilate": self.dilate,
-            "noise": self.noise,
-            "scale": list(self.scale),
-            "shear": self.shear,
-            "body_jitter": list(self.body_jitter),
-            "id_prefix": self.id_prefix,
-        }
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DomainSpec":
-        d = dict(d)
-        if "views" in d:
-            d["views"] = tuple(d["views"])
-        if "scale" in d:
-            d["scale"] = tuple(d["scale"])
-        if "body_jitter" in d:
-            d["body_jitter"] = tuple(d["body_jitter"])
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -310,27 +280,6 @@ def read_pgm(path: str | Path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # generation / loading
 
-def _manifest_to_doc(m: DatasetManifest) -> dict:
-    return {
-        "format_version": MANIFEST_VERSION,
-        "domain": m.domain,
-        "height": m.height,
-        "width": m.width,
-        "records": [
-            {
-                "sample_id": r.sample_id,
-                "identity": r.identity,
-                "condition": r.condition,
-                "view": r.view,
-                "split": r.split,
-                "frame_count": r.frame_count,
-                "path": r.path,
-            }
-            for r in m.records
-        ],
-    }
-
-
 def generate_domain(
     spec: DomainSpec,
     root: str | Path,
@@ -378,8 +327,11 @@ def generate_domain(
                     ))
 
     manifest = DatasetManifest(root, domain, spec.height, spec.width, records)
-    write_text_atomic(root / MANIFEST_NAME,
-                      json.dumps(_manifest_to_doc(manifest), sort_keys=True, indent=1) + "\n")
+    write_json(root / MANIFEST_NAME, {
+        "format_version": MANIFEST_VERSION, "domain": domain,
+        "height": spec.height, "width": spec.width,
+        "records": [vars(r) for r in records],
+    })
     return manifest
 
 
@@ -388,14 +340,18 @@ def load_manifest(root: str | Path) -> DatasetManifest:
     path = root / MANIFEST_NAME
     if not path.exists():
         raise DatasetError(f"no {MANIFEST_NAME} under {root}")
-    doc = json.loads(path.read_text())
+    doc = read_json(path, DatasetError)
     if doc.get("format_version") != MANIFEST_VERSION:
         raise DatasetError(f"unsupported manifest format_version {doc.get('format_version')!r}")
-    records = [SequenceRecord(**r) for r in doc["records"]]
+    try:
+        records = [SequenceRecord(**r) for r in doc["records"]]
+        manifest = DatasetManifest(root, doc["domain"], doc["height"], doc["width"], records)
+    except (KeyError, TypeError) as e:
+        raise DatasetError(f"{path}: malformed manifest ({type(e).__name__}: {e})") from e
     ids = [r.sample_id for r in records]
     if len(set(ids)) != len(ids):
         raise DatasetError("duplicate sample ids in manifest")
-    return DatasetManifest(root, doc["domain"], doc["height"], doc["width"], records)
+    return manifest
 
 
 def load_dataset(root: str | Path, split: str | None = None) -> Dataset:

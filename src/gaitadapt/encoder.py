@@ -14,13 +14,12 @@ differences in the test suite.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .files import write_text_atomic
+from .files import read_json, write_json
 from .numerics import NORM_EPS, DegenerateInputError
 
 CHECKPOINT_VERSION = 1
@@ -72,20 +71,6 @@ class EncoderShape:
     @property
     def strip_dim(self) -> int:
         return self.embed_dim // self.n_strips
-
-    def to_dict(self) -> dict:
-        return {
-            "height": self.height,
-            "width": self.width,
-            "bands": self.bands,
-            "channels": self.channels,
-            "scales": self.scales,
-            "embed_dim": self.embed_dim,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderShape":
-        return cls(**d)
 
 
 @dataclass
@@ -330,29 +315,30 @@ def save_checkpoint(params: EncoderParams, path: str | Path) -> None:
     """Write parameters as a single JSON document; values round-trip exactly."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
-        "shape": params.shape.to_dict(),
+        "shape": asdict(params.shape),
         "params": {
             name: {"dims": list(t.shape), "values": t.ravel().tolist()}
             for name, t in params.tensors.items()
         },
     }
-    write_text_atomic(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    write_json(path, doc)
 
 
 def load_checkpoint(path: str | Path) -> EncoderParams:
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path, ValueError)
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version {version!r}")
-    shape = EncoderShape.from_dict(doc["shape"])
-    tensors = {}
-    for name, dims in _param_layout(shape):
-        entry = doc["params"].get(name)
-        if entry is None:
-            raise ValueError(f"checkpoint missing parameter {name!r}")
-        if tuple(entry["dims"]) != dims:
-            raise ValueError(
-                f"checkpoint parameter {name!r} has dims {entry['dims']}, expected {list(dims)}"
-            )
-        tensors[name] = np.asarray(entry["values"], dtype=np.float64).reshape(dims)
+    try:
+        shape = EncoderShape(**doc["shape"])
+        tensors = {}
+        for name, dims in _param_layout(shape):
+            entry = doc["params"][name]
+            if tuple(entry["dims"]) != dims:
+                raise ValueError(
+                    f"checkpoint parameter {name!r} has dims {entry['dims']}, expected {list(dims)}"
+                )
+            tensors[name] = np.asarray(entry["values"], dtype=np.float64).reshape(dims)
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"{path}: malformed checkpoint ({type(e).__name__}: {e})") from e
     return EncoderParams(shape, tensors)

@@ -1,4 +1,4 @@
-"""Shared numerical kernels: cosine similarity, normalization, stable softmax, seeded RNG.
+"""Shared numerical kernels: cosine similarity, normalization, seeded RNG.
 
 Everything here is pure, double precision, and deterministic. These are the
 primitives the encoder, losses, and neighborhood machinery are built on.
@@ -55,24 +55,6 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     if na <= NORM_EPS or nb <= NORM_EPS:
         raise DegenerateInputError(f"cosine undefined for norms ({na!r}, {nb!r})")
     return float(np.dot(a, b) / (na * nb))
-
-
-def scaled_softmax(scores: np.ndarray, tau: float) -> np.ndarray:
-    """Temperature-scaled softmax with max-subtraction for stability.
-
-    Entries of -inf are allowed and get exactly zero probability, which is
-    how self-exclusion is implemented upstream.
-    """
-    if not tau > 0:
-        raise ValueError(f"temperature must be positive, got {tau!r}")
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
-        raise ValueError("softmax of empty score collection")
-    m = np.max(scores)
-    if not np.isfinite(m):
-        raise ValueError("softmax needs at least one finite score")
-    e = np.exp((scores - m) / tau)
-    return e / e.sum()
 
 
 def pairwise_similarity(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

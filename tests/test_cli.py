@@ -246,6 +246,26 @@ class TestEval:
                      "--checkpoint", str(pretrain_dir / "checkpoint.json")]) == 0
         assert (out / "results.json").read_bytes() == (ref / "results.json").read_bytes()
 
+    def test_failed_results_write_leaves_no_results_file(self, cfg_file, data_dir,
+                                                         pretrain_dir, tmp_path,
+                                                         monkeypatch, capsys):
+        real = Path.write_text
+
+        def write_text(self, text, *args, **kwargs):
+            if "results.json" not in self.name:
+                return real(self, text, *args, **kwargs)
+            real(self, text[:len(text) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+        monkeypatch.setattr(Path, "write_text", write_text)
+        out = tmp_path / "ev"
+        rc = main(["eval", "--config", str(cfg_file), "--out", str(out),
+                   "--data", str(data_dir / "target"),
+                   "--checkpoint", str(pretrain_dir / "checkpoint.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("ERROR E_IO:")
+        assert (out / "failed" / "resolved_config.json").exists()
+        assert list(out.rglob("*results.json*")) == []
+
     def test_missing_config_file_is_config_error(self, tmp_path, capsys):
         rc = main(["eval", "--config", str(tmp_path / "none.json"), "--out",
                    str(tmp_path / "o"), "--data", "d", "--checkpoint", "c"])
@@ -291,6 +311,71 @@ class TestAblate:
         assert rc == 1
         assert capsys.readouterr().err.startswith("ERROR E_CONFIG:")
 
+
+
+def _drop(key):
+    def mutate(text):
+        doc = json.loads(text)
+        del doc[key]
+        return json.dumps(doc)
+    return mutate
+
+
+def _add_record_key(text):
+    doc = json.loads(text)
+    doc["records"][0]["camera"] = "left"
+    return json.dumps(doc)
+
+
+def _as_list(text):
+    return json.dumps([json.loads(text)])
+
+
+MALFORMED = {
+    "manifest-truncated": ("manifest", lambda text: text[:len(text) // 2], "E_DATA"),
+    "manifest-without-records": ("manifest", _drop("records"), "E_DATA"),
+    "manifest-unknown-record-key": ("manifest", _add_record_key, "E_DATA"),
+    "manifest-list": ("manifest", _as_list, "E_DATA"),
+    "checkpoint-without-shape": ("checkpoint", _drop("shape"), "E_INVALID"),
+    "checkpoint-without-params": ("checkpoint", _drop("params"), "E_INVALID"),
+    "config-list": ("config", _as_list, "E_CONFIG"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_gets_its_error_code(case, cfg_file, data_dir, pretrain_dir,
+                                                tmp_path, capsys):
+    artifact, mutate, code = MALFORMED[case]
+    docs = {
+        "config": (cfg_file, tmp_path / "cfg.json"),
+        "checkpoint": (pretrain_dir / "checkpoint.json", tmp_path / "checkpoint.json"),
+        "manifest": (data_dir / "target" / "manifest.json",
+                     tmp_path / "target" / "manifest.json"),
+    }
+    (tmp_path / "target").mkdir()
+    for name, (good, path) in docs.items():
+        text = good.read_text()
+        path.write_text(mutate(text) if name == artifact else text)
+    rc = main(["eval", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "ev"),
+               "--data", str(tmp_path / "target"),
+               "--checkpoint", str(tmp_path / "checkpoint.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"ERROR {code}:")
+
+
+def test_every_json_artifact_is_canonical(cfg_file, data_dir, pretrain_dir, tmp_path):
+    common = ["--config", str(cfg_file), "--data", str(data_dir / "target")]
+    assert main(["adapt", *common, "--out", str(tmp_path / "ad"),
+                 "--checkpoint", str(pretrain_dir / "checkpoint.json")]) == 0
+    assert main(["eval", *common, "--out", str(tmp_path / "ev"),
+                 "--checkpoint", str(tmp_path / "ad" / "checkpoint.json")]) == 0
+    written = [p for root in (data_dir, pretrain_dir, tmp_path) for p in root.rglob("*.json")]
+    names = {p.relative_to(p.parents[1]).as_posix() for p in written}
+    assert {"source/manifest.json", "target/manifest.json", "ad/checkpoint.json",
+            "ev/results.json", "ev/run_args.json", "ev/resolved_config.json"} <= names
+    for p in written:
+        text = p.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n", p
 
 def test_adapted_checkpoint_independent_of_blas_threads(cfg_file, tmp_path):
     src = str(Path(gaitadapt.__file__).resolve().parents[1])

@@ -123,7 +123,7 @@ class TestSerialization:
             ExperimentConfig.from_dict({"train": {"tau": -1.0}})
 
     def test_invalid_domain_value(self):
-        doc = {"source": dict(default_source_spec().to_dict(), noise=0.9)}
+        doc = {"source": dict(dataclasses.asdict(default_source_spec()), noise=0.9)}
         with pytest.raises(ConfigError, match="noise"):
             ExperimentConfig.from_dict(doc)
 

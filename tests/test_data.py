@@ -5,6 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
+from gaitadapt.config import ExperimentConfig, load_config, preset_config, save_config
 from gaitadapt.data import (
     DatasetError,
     DomainSpec,
@@ -49,9 +50,15 @@ class TestDomainSpec:
         with pytest.raises(ValueError, match="unknown condition"):
             tiny_domain_spec(walks={"XX": 1})
 
-    def test_dict_roundtrip(self):
+    def test_dict_roundtrip(self, tmp_path):
         spec = tiny_domain_spec(period=9.5, scale=(0.9, 1.1), body_jitter=(0.01, 0.2))
-        assert DomainSpec.from_dict(spec.to_dict()) == spec
+        for cfg in (preset_config("desk"), preset_config("paper"),
+                    ExperimentConfig(source=spec, target=spec)):
+            save_config(cfg, tmp_path / "cfg.json")
+            back = load_config(tmp_path / "cfg.json")
+            assert (back.source, back.target) == (cfg.source, cfg.target)
+        assert back.source.scale == (0.9, 1.1) and back.source.body_jitter == (0.01, 0.2)
+        assert DomainSpec(views=["000"]) == DomainSpec(views=("000",))
 
 
 class TestGeneration:

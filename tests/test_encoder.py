@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import gaitadapt.encoder as encoder_module
+from gaitadapt.config import ExperimentConfig, load_config, preset_config, save_config
 from gaitadapt.encoder import (
     EncoderParams,
     EncoderShape,
@@ -44,8 +45,13 @@ class TestShape:
         assert SMALL_SHAPE.n_strips == 3
         assert EncoderShape(24, 24, 8, 16, 3, 112).n_strips == 7
 
-    def test_roundtrip(self):
-        assert EncoderShape.from_dict(SMALL_SHAPE.to_dict()) == SMALL_SHAPE
+    def test_roundtrip(self, tmp_path):
+        for cfg in (preset_config("desk"), preset_config("paper"),
+                    ExperimentConfig(encoder=SMALL_SHAPE)):
+            save_config(cfg, tmp_path / "cfg.json")
+            assert load_config(tmp_path / "cfg.json").encoder == cfg.encoder
+        save_checkpoint(init_params(SMALL_SHAPE, make_rng(0)), tmp_path / "ck.json")
+        assert load_checkpoint(tmp_path / "ck.json").shape == SMALL_SHAPE
 
 
 class TestParams:

@@ -1,4 +1,5 @@
-"""Artifacts that later runs load are replaced atomically."""
+"""Artifacts that later runs load are replaced atomically, and malformed
+documents raise the reader's error type."""
 
 import json
 import pathlib
@@ -8,6 +9,7 @@ import pytest
 
 from gaitadapt.config import load_config, preset_config, save_config
 from gaitadapt.encoder import init_params, load_checkpoint, save_checkpoint
+from gaitadapt.files import read_json, write_json
 from gaitadapt.numerics import seed_stream
 
 from conftest import PIPE_SHAPE
@@ -22,6 +24,9 @@ WRITERS = {
                    lambda a, b: all(np.array_equal(a[n], b[n]) for n in a.names())),
     "config": (save_config, load_config, preset_config("desk"), preset_config("paper"),
                lambda a, b: a.to_dict() == b.to_dict()),
+    "document": (lambda doc, path: write_json(path, doc),
+                 lambda path: read_json(path, ValueError),
+                 {"b": [1.5, None], "a": "x"}, {"c": {"d": True}}, dict.__eq__),
 }
 
 
@@ -55,3 +60,21 @@ def test_interrupted_write_leaves_no_partial_file(writer, fail, tmp_path, monkey
     assert not fresh.exists()
     assert same(load(kept), old)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json"]
+
+
+class _ArtifactError(ValueError):
+    pass
+
+
+@pytest.mark.parametrize("text", ["{\"a\": 1", "[1, 2]", "3", "null", ""])
+def test_read_json_raises_the_artifact_error(text, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(_ArtifactError, match="doc.json"):
+        read_json(path, _ArtifactError)
+
+
+def test_read_json_missing_file_is_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        read_json(tmp_path / "none.json", _ArtifactError)
+

@@ -11,7 +11,6 @@ from gaitadapt.numerics import (
     l2_normalize,
     make_rng,
     pairwise_similarity,
-    scaled_softmax,
     seed_stream,
 )
 
@@ -94,53 +93,6 @@ class TestCosine:
         c = cosine_similarity(a, b)
         assert abs(c - cosine_similarity(b, a)) < 1e-12
         assert -1.0 - 1e-12 <= c <= 1.0 + 1e-12
-
-
-class TestScaledSoftmax:
-    @given(finite_vec, st.sampled_from([0.02, 0.1, 1.0, 7.5]))
-    @settings(max_examples=80, deadline=None)
-    def test_sums_to_one(self, scores, tau):
-        p = scaled_softmax(scores, tau)
-        assert abs(p.sum() - 1.0) < 1e-12
-        assert np.all(p >= 0.0)
-
-    @given(finite_vec, st.floats(min_value=-30.0, max_value=30.0, allow_nan=False))
-    @settings(max_examples=60, deadline=None)
-    def test_shift_invariant(self, scores, c):
-        assert np.allclose(scaled_softmax(scores, 0.5), scaled_softmax(scores + c, 0.5),
-                           atol=1e-12)
-
-    def test_equal_scores_give_uniform(self):
-        p = scaled_softmax(np.full(16, 1e4), 0.1)
-        assert np.array_equal(p, np.full(16, 1.0 / 16))
-
-    def test_two_way_values(self):
-        # sigmoid(1) and its complement
-        p = scaled_softmax(np.array([1.0, 0.0]), 1.0)
-        assert p[0] == pytest.approx(0.7310585786300049, abs=1e-15)
-        assert p[1] == pytest.approx(0.2689414213699951, abs=1e-15)
-
-    def test_cold_temperature_values(self):
-        p = scaled_softmax(np.array([1.0, 0.5]), 0.1)
-        assert p[0] == pytest.approx(0.9933071490757153, abs=1e-15)
-        assert p[1] == pytest.approx(0.0066928509242848556, abs=1e-15)
-
-    def test_neg_inf_gets_exact_zero(self):
-        p = scaled_softmax(np.array([0.2, -np.inf, 0.1]), 0.1)
-        assert p[1] == 0.0
-        assert abs(p.sum() - 1.0) < 1e-12
-
-    def test_monotone_in_score(self):
-        p = scaled_softmax(np.array([0.1, 0.4, 0.2]), 0.05)
-        assert p[1] > p[2] > p[0]
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            scaled_softmax(np.array([1.0]), 0.0)
-        with pytest.raises(ValueError):
-            scaled_softmax(np.array([]), 0.1)
-        with pytest.raises(ValueError):
-            scaled_softmax(np.array([-np.inf, -np.inf]), 0.1)
 
 
 class TestPairwiseSimilarity:
