@@ -298,11 +298,10 @@ def cmd_ablate(args) -> None:
         if not seeds:
             raise CliError("E_CONFIG", f"no seeds in {args.seeds!r}")
         _write_snapshot(ctx, cfg, {"out": str(args.out), "seeds": seeds})
-        for seed in seeds:
-            ctx.path(f"seed{seed}")
+        for name in [f"seed{seed}" for seed in seeds] + ["details.csv", "comparison.csv"]:
+            ctx.path(name)
         results = run_ablation(cfg, ctx.out, seeds)
         write_ablation_tables(results, ctx.out, seeds)
-        ctx.created += [ctx.out / "details.csv", ctx.out / "comparison.csv"]
     except Exception:
         ctx.quarantine()
         raise

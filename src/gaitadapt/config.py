@@ -92,6 +92,11 @@ class ExperimentConfig:
             raise ConfigError(f"unsupported config format_version {version!r}")
         sections = {"encoder": EncoderShape, "train": TrainConfig,
                     "source": DomainSpec, "target": DomainSpec}
+        unknown = sorted(set(doc) - {"format_version", *sections})
+        if unknown:
+            raise ConfigError(
+                f"unknown config section(s) {unknown}, expected format_version"
+                f" or one of {sorted(sections)}")
         try:
             return cls(**{k: kind(**doc[k]) for k, kind in sections.items() if k in doc})
         except (TypeError, ValueError) as e:

@@ -3,13 +3,17 @@
 Each identity is a latent body shape; each frame renders a parametric
 walker (torso ellipse plus two swinging leg segments) at a gait phase,
 projected for the camera view, with per-domain style transforms (scale,
-shear, dilation or erosion, speckle noise) applied afterwards. Frames are
-stored as binary P5 PGM files under root/split/identity/cond-run/view/,
-described by a JSON manifest at the root.
+shear, dilation or erosion, speckle noise) applied afterwards. A whole
+walk is rendered, written, read and validated as one unit: each sequence
+is one binary P5 PGM file, root/split/identity/cond-run/view.pgm, whose
+K frames of H x W are stacked top to bottom into a (K*H) x W image. A JSON
+manifest at the root (format_version 2) lists every sequence with its
+frame count and file.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -21,7 +25,7 @@ from .files import read_json, write_json
 from .numerics import seed_stream
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2  # version 1 stored one file per frame
 CONDITIONS = ("NM", "BG", "CL")
 
 # role constants for deterministic rng streams
@@ -90,7 +94,7 @@ class SequenceRecord:
     view: str
     split: str
     frame_count: int
-    path: str  # directory of frame files, relative to the dataset root
+    path: str  # the sequence's PGM file, relative to the dataset root
 
 
 @dataclass
@@ -159,71 +163,18 @@ def _perturb_latent(base: _BodyLatent, sigma: float, rng: np.random.Generator) -
 
 
 def _segment_mask(xs, ys, x0, y0, x1, y1, thick):
-    """Pixels within `thick` of the segment (x0,y0)-(x1,y1)."""
+    """Pixels within `thick` of the segment (x0,y0)-(x1,y1). The endpoints
+    may be arrays that broadcast against xs and ys, one segment per frame."""
     dx, dy = x1 - x0, y1 - y0
-    L2 = dx * dx + dy * dy
-    if L2 < 1e-12:
-        return (xs - x0) ** 2 + (ys - y0) ** 2 <= thick * thick
+    L2 = np.maximum(dx * dx + dy * dy, 1e-12)  # a point segment stays finite
     t = np.clip(((xs - x0) * dx + (ys - y0) * dy) / L2, 0.0, 1.0)
     px = x0 + t * dx
     py = y0 + t * dy
     return (xs - px) ** 2 + (ys - py) ** 2 <= thick * thick
 
 
-def render_frame(
-    latent: _BodyLatent,
-    phase: float,
-    view_deg: float,
-    condition: str,
-    spec: DomainSpec,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One (H, W) binary silhouette of the walker at the given gait phase."""
-    h, w = spec.height, spec.width
-    cols = (np.arange(w) + 0.5) / w
-    rows = (np.arange(h) + 0.5) / h
-    xs, ys = np.meshgrid(cols, rows)
-
-    # inverse style transform: evaluate canonical shapes at pre-image coords
-    sx, sy = spec.scale
-    v = (ys - 0.5) / sy + 0.5
-    u = ((xs - 0.5) - spec.shear * (v - 0.5)) / sx + 0.5
-
-    sv = abs(np.sin(np.deg2rad(view_deg)))  # lateral visibility of the swing
-
-    rx = latent.torso_rx * (0.65 + 0.35 * sv)
-    ry = latent.torso_ry
-    if condition == "CL":
-        rx, ry = rx * 1.12, ry * 1.05
-    torso = ((u - 0.5) / rx) ** 2 + ((v - latent.torso_cy) / ry) ** 2 <= 1.0
-    mask = torso
-
-    angle = latent.swing_amp * np.sin(2.0 * np.pi * phase)
-    for side, theta in ((-1.0, angle), (1.0, -angle)):
-        hip_x = 0.5 + side * latent.stance * (1.0 - sv)
-        foot_x = hip_x + latent.leg_len * np.sin(theta) * sv
-        foot_y = latent.hip_y + latent.leg_len * np.cos(theta)
-        mask = mask | _segment_mask(
-            u, v, hip_x, latent.hip_y, foot_x, foot_y, latent.leg_thick
-        )
-
-    if condition == "BG":
-        bag = ((u - 0.66) / 0.09) ** 2 + ((v - 0.47) / 0.075) ** 2 <= 1.0
-        mask = mask | bag
-
-    if spec.dilate > 0:
-        mask = ndimage.binary_dilation(mask, iterations=spec.dilate)
-    elif spec.dilate < 0:
-        mask = ndimage.binary_erosion(mask, iterations=-spec.dilate)
-
-    if spec.noise > 0.0:
-        mask = mask | (rng.random((h, w)) < spec.noise)
-
-    frame = mask.astype(np.uint8)
-    if frame.sum() == 0:
-        # erosion can wipe tiny bodies; keep the invariant of >= 1 pixel
-        frame[int(latent.torso_cy * h), w // 2] = 1
-    return frame
+# the 4-connected cross, one frame deep: frames never dilate into each other
+_FRAME_CROSS = ndimage.generate_binary_structure(2, 1)[None]
 
 
 def _render_sequence(
@@ -233,11 +184,50 @@ def _render_sequence(
     spec: DomainSpec,
     rng: np.random.Generator,
 ) -> np.ndarray:
+    """(K, H, W) binary silhouettes of one walk, one gait phase per frame."""
+    k, h, w = spec.frames, spec.height, spec.width
+    cols = (np.arange(w) + 0.5) / w
+    rows = (np.arange(h) + 0.5) / h
+    xs, ys = np.meshgrid(cols, rows)
+
+    # inverse style transform: evaluate canonical shapes at pre-image coords
+    sx, sy = spec.scale
+    v = (ys - 0.5) / sy + 0.5
+    u = ((xs - 0.5) - spec.shear * (v - 0.5)) / sx + 0.5
+
+    sv = abs(np.sin(np.deg2rad(float(view))))  # lateral visibility of the swing
+
+    rx = latent.torso_rx * (0.65 + 0.35 * sv)
+    ry = latent.torso_ry
+    if condition == "CL":
+        rx, ry = rx * 1.12, ry * 1.05
+    mask = ((u - 0.5) / rx) ** 2 + ((v - latent.torso_cy) / ry) ** 2 <= 1.0
+    if condition == "BG":
+        mask = mask | (((u - 0.66) / 0.09) ** 2 + ((v - 0.47) / 0.075) ** 2 <= 1.0)
+
     phase0 = rng.uniform(0.0, max(spec.phase_jitter, 1e-9))
-    frames = np.empty((spec.frames, spec.height, spec.width), dtype=np.uint8)
-    for t in range(spec.frames):
-        phase = phase0 + (t * spec.resample) / spec.period
-        frames[t] = render_frame(latent, phase, float(view), condition, spec, rng)
+    phase = phase0 + (np.arange(k) * spec.resample) / spec.period
+    angle = (latent.swing_amp * np.sin(2.0 * np.pi * phase))[:, None, None]
+    for side, theta in ((-1.0, angle), (1.0, -angle)):
+        hip_x = 0.5 + side * latent.stance * (1.0 - sv)
+        foot_x = hip_x + latent.leg_len * np.sin(theta) * sv
+        foot_y = latent.hip_y + latent.leg_len * np.cos(theta)
+        mask = mask | _segment_mask(
+            u, v, hip_x, latent.hip_y, foot_x, foot_y, latent.leg_thick
+        )
+
+    if spec.dilate > 0:
+        mask = ndimage.binary_dilation(mask, _FRAME_CROSS, iterations=spec.dilate)
+    elif spec.dilate < 0:
+        mask = ndimage.binary_erosion(mask, _FRAME_CROSS, iterations=-spec.dilate)
+
+    if spec.noise > 0.0:
+        # one draw consumes the stream exactly as K per-frame (H, W) draws
+        mask = mask | (rng.random((k, h, w)) < spec.noise)
+
+    frames = mask.astype(np.uint8)
+    # erosion can wipe tiny bodies; keep the invariant of >= 1 pixel per frame
+    frames[~frames.any(axis=(1, 2)), int(latent.torso_cy * h), w // 2] = 1
     return frames
 
 
@@ -252,26 +242,20 @@ def write_pgm(path: str | Path, frame01: np.ndarray) -> None:
     Path(path).write_bytes(header + (frame01 * 255).tobytes())
 
 
+# magic, width, height and maxval, separated by whitespace or '#' comment
+# lines, and one whitespace byte before the pixels
+_SEP = rb"(?:\s|#[^\n]*\n)+"
+_PGM_HEADER = re.compile(rb"P5" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)\s")
+
+
 def read_pgm(path: str | Path) -> np.ndarray:
     """Read a binary P5 PGM; returns raw byte values as (H, W) uint8."""
     raw = Path(path).read_bytes()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if raw[pos:pos + 1] == b"#":  # comment line
-            pos = raw.index(b"\n", pos) + 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(raw[start:pos])
-    if fields[0] != b"P5" or fields[3] != b"255":
+    header = _PGM_HEADER.match(raw)
+    if header is None or header[3] != b"255":
         raise DatasetError(f"{path}: not a maxval-255 P5 PGM")
-    w, h = int(fields[1]), int(fields[2])
-    pos += 1  # single whitespace after maxval
-    pixels = np.frombuffer(raw[pos:pos + w * h], dtype=np.uint8)
+    w, h = int(header[1]), int(header[2])
+    pixels = np.frombuffer(raw[header.end():header.end() + w * h], dtype=np.uint8)
     if pixels.size != w * h:
         raise DatasetError(f"{path}: truncated pixel data")
     return pixels.reshape(h, w)
@@ -289,7 +273,7 @@ def generate_domain(
     """Write a full domain (train and test splits) under root; returns the manifest.
 
     Identical (spec, seed) produce byte-identical trees. The manifest is
-    written only after every frame file has been written.
+    written only after every sequence file has been written.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
@@ -305,24 +289,23 @@ def generate_domain(
         seq_counter = 0
         for condition in CONDITIONS:
             for run in range(1, spec.walks.get(condition, 0) + 1):
+                walk = f"{condition.lower()}-{run:02d}"
+                walk_dir = Path(split) / identity / walk
+                (root / walk_dir).mkdir(parents=True, exist_ok=True)
                 for view in spec.views:
                     rng = seed_stream(seed, _ROLE_SEQUENCE, gid, seq_counter)
                     seq_counter += 1
                     walk_latent = _perturb_latent(latent, jitter, rng)
                     frames = _render_sequence(walk_latent, condition, view, spec, rng)
-                    rel = Path(split) / identity / f"{condition.lower()}-{run:02d}" / view
-                    out_dir = root / rel
-                    out_dir.mkdir(parents=True, exist_ok=True)
-                    for t in range(frames.shape[0]):
-                        write_pgm(out_dir / f"frame{t:04d}.pgm", frames[t])
-                    sample_id = f"{identity}-{condition.lower()}-{run:02d}-{view}"
+                    rel = walk_dir / f"{view}.pgm"
+                    write_pgm(root / rel, frames.reshape(-1, spec.width))
                     records.append(SequenceRecord(
-                        sample_id=sample_id,
+                        sample_id=f"{identity}-{walk}-{view}",
                         identity=identity,
                         condition=condition,
                         view=view,
                         split=split,
-                        frame_count=frames.shape[0],
+                        frame_count=spec.frames,
                         path=str(rel),
                     ))
 
@@ -342,7 +325,9 @@ def load_manifest(root: str | Path) -> DatasetManifest:
         raise DatasetError(f"no {MANIFEST_NAME} under {root}")
     doc = read_json(path, DatasetError)
     if doc.get("format_version") != MANIFEST_VERSION:
-        raise DatasetError(f"unsupported manifest format_version {doc.get('format_version')!r}")
+        raise DatasetError(
+            f"unsupported manifest format_version {doc.get('format_version')!r},"
+            f" expected {MANIFEST_VERSION}; regenerate the data with gen-data")
     try:
         records = [SequenceRecord(**r) for r in doc["records"]]
         manifest = DatasetManifest(root, doc["domain"], doc["height"], doc["width"], records)
@@ -357,32 +342,35 @@ def load_manifest(root: str | Path) -> DatasetManifest:
 def load_dataset(root: str | Path, split: str | None = None) -> Dataset:
     """Load the sequences listed in the manifest, validating binary pixels.
 
-    With a split name only that split's frames are read; the manifest
-    still lists every record.
+    Each sequence is one file, read and checked in one pass. With a split
+    name only that split's files are read; the manifest still lists every
+    record.
     """
     manifest = load_manifest(root)
+    h, w = manifest.height, manifest.width
     sequences = []
     for rec in manifest.records if split is None else manifest.split(split):
-        seq_dir = manifest.root / rec.path
-        frames = np.empty((rec.frame_count, manifest.height, manifest.width), dtype=np.uint8)
-        for t in range(rec.frame_count):
-            fpath = seq_dir / f"frame{t:04d}.pgm"
-            if not fpath.exists():
-                raise DatasetError(f"sample {rec.sample_id}: missing frame file {fpath}")
-            raw = read_pgm(fpath)
-            if raw.shape != (manifest.height, manifest.width):
-                raise DatasetError(
-                    f"sample {rec.sample_id}: frame {t} has shape {raw.shape}"
-                )
-            bad = ~np.isin(raw, (0, 255))
-            if bad.any():
-                raise DatasetError(
-                    f"sample {rec.sample_id}: frame {t} has non-binary pixel value"
-                    f" {int(raw[bad][0])}"
-                )
-            frames[t] = raw // 255
+        path = manifest.root / rec.path
+        try:
+            raw = read_pgm(path)
+        except FileNotFoundError as e:
+            raise DatasetError(f"sample {rec.sample_id}: missing sequence file {path}") from e
+        except DatasetError as e:
+            raise DatasetError(f"sample {rec.sample_id}: {e}") from e
+        if raw.shape != (rec.frame_count * h, w):
+            raise DatasetError(
+                f"sample {rec.sample_id}: sequence file has shape {raw.shape},"
+                f" expected {rec.frame_count} frames of {h}x{w}"
+            )
+        bad = (raw != 0) & (raw != 255)
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            raise DatasetError(
+                f"sample {rec.sample_id}: frame {row // h} has non-binary pixel value"
+                f" {int(raw[row, col])}"
+            )
         sequences.append(SilhouetteSequence(
-            frames=frames,
+            frames=(raw & 1).reshape(rec.frame_count, h, w),
             sample_id=rec.sample_id,
             identity=rec.identity,
             condition=rec.condition,

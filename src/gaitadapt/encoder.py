@@ -88,10 +88,9 @@ class SilhouetteSequence:
         f = np.asarray(self.frames)
         if f.ndim != 3 or f.shape[0] < 1:
             raise ValueError(f"frames must be (K>=1, H, W), got shape {f.shape}")
-        vals = np.unique(f)
-        if not np.all(np.isin(vals, (0, 1))):
+        if not ((f == 0) | (f == 1)).all():
             raise ValueError(f"sample {self.sample_id}: frames must be binary 0/1")
-        self.frames = f.astype(np.uint8)
+        self.frames = f.astype(np.uint8, copy=False)
 
     @property
     def length(self) -> int:

@@ -155,8 +155,8 @@ class TestPretrain:
                                               capsys):
         broken = tmp_path / "broken_src"
         shutil.copytree(data_dir / "source", broken)
-        # pretrain reads only the train split, so corrupt a frame there
-        victim = next((broken / "train").rglob("frame0000.pgm"))
+        # pretrain reads only the train split, so corrupt a sequence there
+        victim = next((broken / "train").rglob("*.pgm"))
         raw = bytearray(victim.read_bytes())
         raw[-1] = 7
         victim.write_bytes(bytes(raw))
@@ -234,7 +234,7 @@ class TestEval:
                                        tmp_path):
         data = tmp_path / "target"
         shutil.copytree(data_dir / "target", data)
-        next((data / "train").rglob("frame0000.pgm")).unlink()
+        next((data / "train").rglob("*.pgm")).unlink()
         out = tmp_path / "ev3"
         rc = main(["eval", "--config", str(cfg_file), "--out", str(out),
                    "--data", str(data),
@@ -305,6 +305,19 @@ class TestAblate:
             assert (out / f"seed{seed}" / "pretrained.json").exists()
             assert (out / f"seed{seed}" / "adapted_high.json").exists()
 
+    def test_failed_table_write_quarantines_both_tables(self, cfg_file, tmp_path,
+                                                         capsys):
+        out = tmp_path / "ab"
+        (out / "comparison.csv").mkdir(parents=True)  # details.csv writes, this fails
+        rc = main(["ablate", "--config", str(cfg_file), "--out", str(out),
+                   "--seeds", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("ERROR E_IO:")
+        assert not (out / "details.csv").exists()
+        assert not (out / "comparison.csv").exists()
+        assert (out / "failed" / "details.csv").is_file()
+        assert (out / "failed" / "seed1").is_dir()
+
     def test_empty_seed_list_rejected(self, cfg_file, tmp_path, capsys):
         rc = main(["ablate", "--config", str(cfg_file), "--out",
                    str(tmp_path / "o"), "--seeds", ","])
@@ -327,6 +340,20 @@ def _add_record_key(text):
     return json.dumps(doc)
 
 
+def _set_version(version):
+    def mutate(text):
+        doc = json.loads(text)
+        doc["format_version"] = version
+        return json.dumps(doc)
+    return mutate
+
+
+def _add_section(text):
+    doc = json.loads(text)
+    doc["trian"] = {"seed": 7}
+    return json.dumps(doc)
+
+
 def _as_list(text):
     return json.dumps([json.loads(text)])
 
@@ -336,9 +363,11 @@ MALFORMED = {
     "manifest-without-records": ("manifest", _drop("records"), "E_DATA"),
     "manifest-unknown-record-key": ("manifest", _add_record_key, "E_DATA"),
     "manifest-list": ("manifest", _as_list, "E_DATA"),
+    "manifest-version-1": ("manifest", _set_version(1), "E_DATA"),
     "checkpoint-without-shape": ("checkpoint", _drop("shape"), "E_INVALID"),
     "checkpoint-without-params": ("checkpoint", _drop("params"), "E_INVALID"),
     "config-list": ("config", _as_list, "E_CONFIG"),
+    "config-unknown-section": ("config", _add_section, "E_CONFIG"),
 }
 
 

@@ -114,6 +114,13 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="format_version"):
             ExperimentConfig.from_dict({"format_version": 3})
 
+    def test_unknown_section_is_refused(self):
+        # a misspelled section must not load silently as the defaults
+        with pytest.raises(ConfigError, match=r"unknown config section\(s\) \['trian'\]"):
+            ExperimentConfig.from_dict({"trian": {"seed": 7}})
+        with pytest.raises(ConfigError, match="unknown config section"):
+            ExperimentConfig.from_dict({**preset_config("desk").to_dict(), "notes": "x"})
+
     def test_unknown_train_field(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"train": {"learning": 1.0}})

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import shutil
 
@@ -20,6 +21,9 @@ from gaitadapt.encoder import SilhouetteSequence
 from gaitadapt.numerics import make_rng, seed_stream
 
 from conftest import tiny_domain_spec
+
+
+DESK_SEED1_PIXELS = "b11c0d64cf339a6ed207015d7cbe3efe84152f4eee20b93be804fec692609032"
 
 
 def _tree_bytes(root):
@@ -72,9 +76,11 @@ class TestGeneration:
             ident, cond, run, view = r.sample_id.rsplit("-", 3)
             assert (ident, cond, view) == (r.identity, r.condition.lower(), r.view)
             assert run.isdigit() and len(run) == 2
-            frame_dir = tiny_source_dir / r.path
-            files = sorted(frame_dir.glob("frame*.pgm"))
-            assert len(files) == r.frame_count == 4
+            assert r.path.endswith(f"{cond}-{run}/{view}.pgm")
+            # one file per sequence, its frames stacked top to bottom
+            assert read_pgm(tiny_source_dir / r.path).shape == (r.frame_count * 8, 8)
+            assert r.frame_count == 4
+        assert len(list(tiny_source_dir.rglob("*.pgm"))) == 30
 
     def test_sample_id_format(self, tiny_source_dir):
         m = load_manifest(tiny_source_dir)
@@ -97,6 +103,19 @@ class TestGeneration:
         generate_domain(spec, tmp_path / "b", domain="source", seed=6)
         a, b = _tree_bytes(tmp_path / "a"), _tree_bytes(tmp_path / "b")
         assert any(a[k] != b[k] for k in a if k.suffix == ".pgm")
+
+    def test_desk_pixels_are_pinned(self, tmp_path):
+        # SHA-256 over every loaded frames array of the desk preset's source
+        # and target at seed 1, both splits, in manifest order; recorded when
+        # sequences were still rendered and stored one frame at a time
+        cfg = preset_config("desk")
+        digest = hashlib.sha256()
+        for domain, spec in (("source", cfg.source), ("target", cfg.target)):
+            generate_domain(spec, tmp_path / domain, domain=domain, seed=1)
+            for s in load_dataset(tmp_path / domain).sequences:
+                assert s.frames.dtype == np.uint8
+                digest.update(s.frames.tobytes())
+        assert digest.hexdigest() == DESK_SEED1_PIXELS
 
     def test_loaded_frames_are_binary(self, tiny_source_dir):
         ds = load_dataset(tiny_source_dir)
@@ -231,6 +250,10 @@ class TestLoadErrors:
         with pytest.raises(DatasetError, match="manifest"):
             load_manifest(tmp_path)
 
+    def _sequence_file(self, root):
+        (path,) = root.rglob("*.pgm")
+        return path
+
     def test_bad_manifest_version(self, tmp_path):
         root = self._micro(tmp_path)
         doc = json.loads((root / "manifest.json").read_text())
@@ -238,6 +261,17 @@ class TestLoadErrors:
         (root / "manifest.json").write_text(json.dumps(doc))
         with pytest.raises(DatasetError, match="format_version"):
             load_manifest(root)
+
+    def test_version_1_manifest_is_refused(self, tmp_path):
+        # version 1 named a directory of frame files per sequence
+        root = self._micro(tmp_path)
+        doc = json.loads((root / "manifest.json").read_text())
+        doc["format_version"] = 1
+        for r in doc["records"]:
+            r["path"] = r["path"].removesuffix(".pgm")
+        (root / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match="format_version 1, expected 2"):
+            load_dataset(root)
 
     def test_duplicate_sample_ids(self, tmp_path):
         root = self._micro(tmp_path)
@@ -249,24 +283,40 @@ class TestLoadErrors:
 
     def test_corrupt_pixel_names_sample(self, tmp_path):
         root = self._micro(tmp_path)
-        target = next(root.rglob("frame0001.pgm"))
+        target = self._sequence_file(root)
         raw = bytearray(target.read_bytes())
-        raw[-1] = 128  # neither 0 nor 255
+        raw[-64 + 5] = 128  # neither 0 nor 255, in the second of two 8x8 frames
         target.write_bytes(bytes(raw))
-        with pytest.raises(DatasetError, match="M001-nm-01-090.*non-binary"):
+        with pytest.raises(DatasetError,
+                           match="M001-nm-01-090: frame 1 has non-binary pixel value 128"):
             load_dataset(root)
 
     def test_missing_frame_names_sample(self, tmp_path):
         root = self._micro(tmp_path)
-        next(root.rglob("frame0001.pgm")).unlink()
-        with pytest.raises(DatasetError, match="M001-nm-01-090.*missing frame"):
+        self._sequence_file(root).unlink()
+        with pytest.raises(DatasetError, match="M001-nm-01-090.*missing sequence file"):
+            load_dataset(root)
+
+    def test_truncated_sequence_file_names_sample(self, tmp_path):
+        root = self._micro(tmp_path)
+        target = self._sequence_file(root)
+        target.write_bytes(target.read_bytes()[:-10])
+        with pytest.raises(DatasetError, match="M001-nm-01-090.*truncated"):
+            load_dataset(root)
+
+    def test_row_count_must_match_frame_count(self, tmp_path):
+        root = self._micro(tmp_path)
+        target = self._sequence_file(root)
+        write_pgm(target, read_pgm(target)[:8] // 255)  # one frame of two
+        with pytest.raises(DatasetError,
+                           match=r"M001-nm-01-090.*shape \(8, 8\), expected 2 frames of 8x8"):
             load_dataset(root)
 
     def test_split_load_reads_only_that_split(self, tiny_source_dir, tmp_path):
         root = tmp_path / "src"
         shutil.copytree(tiny_source_dir, root)
         full = load_dataset(root)
-        next((root / "test").rglob("frame0000.pgm")).unlink()
+        next((root / "test").rglob("*.pgm")).unlink()
         train = load_dataset(root, split="train")
         assert [s.sample_id for s in train.sequences] == [
             s.sample_id for s in full.split("train")]
@@ -274,12 +324,12 @@ class TestLoadErrors:
                    for a, b in zip(train.sequences, full.split("train")))
         assert train.split("test") == []
         assert len(train.manifest.records) == len(full.manifest.records)
-        with pytest.raises(DatasetError, match="missing frame"):
+        with pytest.raises(DatasetError, match="missing sequence file"):
             load_dataset(root, split="test")
 
     def test_wrong_frame_shape_names_sample(self, tmp_path):
         root = self._micro(tmp_path)
-        target = next(root.rglob("frame0000.pgm"))
+        target = self._sequence_file(root)
         write_pgm(target, np.ones((3, 3), dtype=np.uint8))
         with pytest.raises(DatasetError, match="M001-nm-01-090.*shape"):
             load_dataset(root)
