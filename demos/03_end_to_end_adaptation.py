@@ -47,8 +47,8 @@ print(f"adapting, {cfg.train.rounds} rounds x {cfg.train.epochs_per_round} "
       f"epochs, strategy {cfg.train.strategy!r} ...")
 adapted, alog, rounds = adapt_target(target.split("train"), params, cfg.train)
 for st in rounds:
-    print(f"  round {st.schedule.round_index}: "
-          f"{len(st.schedule.selected)} anchors trained")
+    print(f"  round {st.round_index}: {len(st.selected)} anchors trained, "
+          f"entropy {st.entropies.min():.3f}..{st.entropies.max():.3f}")
 
 after = eval_on_target(adapted)
 print(f"adapted rank-1 on target test: {after.accuracy:.3f} "

@@ -249,15 +249,21 @@ _PGM_HEADER = re.compile(rb"P5" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)" + _SEP + r
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
-    """Read a binary P5 PGM; returns raw byte values as (H, W) uint8."""
+    """Read a binary P5 PGM; returns raw byte values as (H, W) uint8.
+
+    Exactly H x W pixel bytes must follow the header.
+    """
     raw = Path(path).read_bytes()
     header = _PGM_HEADER.match(raw)
     if header is None or header[3] != b"255":
         raise DatasetError(f"{path}: not a maxval-255 P5 PGM")
     w, h = int(header[1]), int(header[2])
-    pixels = np.frombuffer(raw[header.end():header.end() + w * h], dtype=np.uint8)
-    if pixels.size != w * h:
+    pixels = np.frombuffer(raw, dtype=np.uint8, offset=header.end())
+    if pixels.size < w * h:
         raise DatasetError(f"{path}: truncated pixel data")
+    if pixels.size > w * h:
+        raise DatasetError(
+            f"{path}: {pixels.size - w * h} bytes of trailing data after the pixels")
     return pixels.reshape(h, w)
 
 

@@ -4,9 +4,12 @@ Holds the memory bank of stored embeddings, k-nearest-neighbor anchor
 neighborhoods, per-sample entropy ranking, and the progressive round-based
 anchor selection (round r of R trains on the top r/R fraction).
 
-The bank-against-bank similarities are scanned in blocks of BLOCK_ROWS
-rows, so no N x N array is ever held; kNN discovery and the entropy
-ranking each make one such pass.
+scan_bank makes one pass per round over the bank-against-bank
+similarities, in blocks of BLOCK_ROWS rows, so no N x N array is ever
+held: each block's product gives both the k nearest neighbors and the
+entropies. A round's state is index arrays over the bank; sample ids
+appear only in the diagnostics CSV and in the id-keyed wrappers
+(discover_neighborhoods, rank_and_select).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .encoder import EncoderParams, SilhouetteSequence, encode_sequences
-from .losses import log_softmax_rows, row_entropies
+from .losses import log_softmax_scores, row_entropies
 from .numerics import NORM_EPS, DegenerateInputError
 
 STRATEGIES = ("high", "low", "random")
@@ -45,6 +48,10 @@ class MemoryBank:
         if len(set(self.ids)) != len(self.ids):
             raise ValueError("sample ids must be unique")
         self.index = {sid: i for i, sid in enumerate(self.ids)}
+        # id_rank[i]: position of ids[i] in id order, the tie-break everywhere
+        self.id_rank = np.empty(len(self.ids), dtype=np.intp)
+        self.id_rank[sorted(range(len(self.ids)), key=self.ids.__getitem__)] = (
+            np.arange(len(self.ids)))
 
     @property
     def size(self) -> int:
@@ -65,32 +72,34 @@ def build_bank(
 
 def update_bank(
     bank: MemoryBank,
-    sample_ids: list[str],
+    indices: np.ndarray,
     fresh: np.ndarray,
 ) -> MemoryBank:
-    """entry <- normalize(mu * old + (1 - mu) * fresh) for the given samples.
+    """entry <- normalize(mu * old + (1 - mu) * fresh) at the given bank indices.
 
-    All rows update in one step from the old entries, so an id may appear
-    only once per call.
+    All rows update in one step from the old entries, so an index may
+    appear only once per call. Nothing is written unless every row can be.
     """
+    idx = np.asarray(indices, dtype=np.intp)
     fresh = np.asarray(fresh, dtype=np.float64)
-    if fresh.shape != (len(sample_ids), bank.entries.shape[1]):
-        raise ValueError(f"fresh embeddings shape {fresh.shape} does not match ids")
-    seen: set[str] = set()
-    for sid in sample_ids:
-        if sid not in bank.index:
-            raise ValueError(f"unknown sample id {sid!r}")
-        if sid in seen:
-            raise ValueError(f"sample id {sid!r} appears more than once in one update")
-        seen.add(sid)
-    idx = np.array([bank.index[sid] for sid in sample_ids], dtype=np.intp)
+    if idx.ndim != 1 or fresh.shape != (idx.size, bank.entries.shape[1]):
+        raise ValueError(
+            f"fresh embeddings shape {fresh.shape} does not match indices {idx.shape}")
+    bad = idx[(idx < 0) | (idx >= bank.size)]
+    if bad.size:
+        raise ValueError(f"bank index {int(bad[0])} out of range for {bank.size} entries")
+    ordered = np.sort(idx)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeated.size:
+        raise ValueError(
+            f"bank index {int(repeated[0])} appears more than once in one update")
     mu = bank.momentum
     mixed = mu * bank.entries[idx] + (1.0 - mu) * fresh
     norms = np.linalg.norm(mixed, axis=1)
     small = np.flatnonzero(norms <= NORM_EPS)
     if small.size:
         raise DegenerateInputError(
-            f"sample {sample_ids[small[0]]!r}: cannot normalize updated entry"
+            f"sample {bank.ids[idx[small[0]]]!r}: cannot normalize updated entry"
             f" with norm {float(norms[small[0]])!r}")
     bank.entries[idx] = mixed / norms[:, None]
     return bank
@@ -109,14 +118,6 @@ class Neighborhood:
         return len(self.neighbor_ids) + 1
 
 
-def _id_rank(ids: tuple[str, ...]) -> np.ndarray:
-    """rank[i] = position of ids[i] in lexicographic id order."""
-    rank = np.empty(len(ids), dtype=np.intp)
-    for pos, i in enumerate(sorted(range(len(ids)), key=lambda j: ids[j])):
-        rank[i] = pos
-    return rank
-
-
 def _row_blocks(n: int):
     for lo in range(0, n, BLOCK_ROWS):
         yield lo, min(lo + BLOCK_ROWS, n)
@@ -126,13 +127,17 @@ def _top_k(sims: np.ndarray, rank: np.ndarray, k: int) -> np.ndarray:
     """Column indices of each row's k largest similarities, (B, k).
 
     Ordered by similarity descending, then by rank ascending. The k-th
-    largest value comes from a partition; every column at or above it is
-    a candidate (all ties at the boundary included), and only those
-    candidates are sorted.
+    largest value comes from a partition (a row maximum when k = 1); every
+    column at or above it is a candidate (all ties at the boundary
+    included), and only those candidates are sorted.
     """
     b, n = sims.shape
-    kth = np.partition(sims, n - k, axis=1)[:, n - k]
-    rows, cols = np.nonzero(sims >= kth[:, None])
+    if k == 1:
+        kth = sims.max(axis=1)
+    else:
+        kth = np.partition(sims, n - k, axis=1)[:, n - k]
+    # flat positions: a 2-D nonzero costs about ten times as much
+    rows, cols = np.divmod(np.flatnonzero(sims >= kth[:, None]), n)
     counts = np.bincount(rows, minlength=b)
     pos = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
     # padding sorts after every candidate
@@ -146,23 +151,52 @@ def _top_k(sims: np.ndarray, rank: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(cand, order, axis=1)
 
 
+def scan_bank(
+    bank: MemoryBank,
+    k: int,
+    tau: float,
+    include_self: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One pass over the bank: (neighbors (N, k), entropies (N,)).
+
+    neighbors[i] holds the bank indices of sample i's k highest-cosine
+    neighbors, itself excluded, ordered by similarity descending and then
+    by sample id, so the result does not depend on sample order; k = 0
+    finds none. entropies[i] is the entropy of sample i's softmax row over
+    the bank at temperature tau, its own entry left out of the row unless
+    include_self. Each block of rows is one product, which the neighbor
+    search reads with the diagonal masked and the entropy then reuses in
+    place.
+    """
+    n = bank.size
+    if not 0 <= k < n:
+        raise ValueError(f"k = {k} must be in [0, {n}) for a bank of size {n}")
+    neighbors = np.empty((n, k), dtype=np.intp)
+    h = np.empty(n, dtype=np.float64)
+    for lo, hi in _row_blocks(n):
+        sims = bank.entries[lo:hi] @ bank.entries.T
+        diag = (np.arange(hi - lo), np.arange(lo, hi))
+        own = sims[diag]
+        sims[diag] = -np.inf
+        if k:
+            neighbors[lo:hi] = _top_k(sims, bank.id_rank, k)
+        if include_self:
+            sims[diag] = own
+        h[lo:hi] = row_entropies(log_softmax_scores(sims, tau))
+    return neighbors, h
+
+
 def discover_neighborhoods(bank: MemoryBank, k: int) -> dict[str, Neighborhood]:
-    """k highest-cosine neighbors per sample, self excluded, ties to lower id.
+    """k highest-cosine neighbors per sample id, self excluded, ties to lower id.
 
     Tie-breaking on the id string (not bank position) makes the result
     independent of sample iteration order.
     """
-    n = bank.size
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k >= n:
-        raise ValueError(f"k = {k} must be smaller than the bank size {n}")
-    rank = _id_rank(bank.ids)
-    neighbors = np.empty((n, k), dtype=np.intp)
-    for lo, hi in _row_blocks(n):
-        sims = bank.entries[lo:hi] @ bank.entries.T
-        sims[np.arange(hi - lo), np.arange(lo, hi)] = -np.inf
-        neighbors[lo:hi] = _top_k(sims, rank, k)
+    if k >= bank.size:
+        raise ValueError(f"k = {k} must be smaller than the bank size {bank.size}")
+    neighbors, _ = scan_bank(bank, k, tau=1.0)
     return {
         sid: Neighborhood(sid, tuple(bank.ids[j] for j in row))
         for sid, row in zip(bank.ids, neighbors)
@@ -196,12 +230,26 @@ class CurriculumSchedule:
 
 def bank_entropies(bank: MemoryBank, tau: float, include_self: bool = True) -> np.ndarray:
     """Softmax-row entropy of every stored sample against the whole bank."""
-    h = np.empty(bank.size, dtype=np.float64)
-    for lo, hi in _row_blocks(bank.size):
-        log_probs = log_softmax_rows(bank.entries[lo:hi], bank, tau,
-                                     np.arange(lo, hi), include_self)
-        h[lo:hi] = row_entropies(log_probs)
-    return h
+    return scan_bank(bank, 0, tau, include_self)[1]
+
+
+def curriculum_order(
+    entropies: np.ndarray,
+    id_rank: np.ndarray,
+    strategy: str,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Bank indices in selection order; a round takes a prefix.
+
+    high: largest entropy first (densest, best-supported samples early);
+    low: smallest first; random: one seeded permutation. Entropy ties
+    break toward the lower sample id.
+    """
+    if strategy == "high":
+        return np.lexsort((id_rank, -entropies))
+    if strategy == "low":
+        return np.lexsort((id_rank, entropies))
+    return rng.permutation(entropies.size)
 
 
 def rank_and_select(
@@ -211,20 +259,10 @@ def rank_and_select(
     rng: np.random.Generator,
     include_self: bool = True,
 ) -> CurriculumSchedule:
-    """Rank samples by entropy per the strategy and select the round's fraction.
-
-    high: largest entropy first (densest, best-supported samples early);
-    low: smallest first; random: seeded uniform order. Entropy ties break
-    toward the lower sample id.
-    """
+    """Rank samples by entropy per the strategy and select the round's
+    fraction (see curriculum_order), keyed by sample id."""
     h = bank_entropies(bank, tau, include_self=include_self)
-    rank = _id_rank(bank.ids)
-    if schedule.strategy == "high":
-        order = np.lexsort((rank, -h))
-    elif schedule.strategy == "low":
-        order = np.lexsort((rank, h))
-    else:
-        order = rng.permutation(bank.size)
+    order = curriculum_order(h, bank.id_rank, schedule.strategy, rng)
     n_sel = schedule.selection_size(bank.size)
     selected = tuple(bank.ids[i] for i in order[:n_sel])
     entropies = {bank.ids[i]: float(h[i]) for i in range(bank.size)}
@@ -233,20 +271,27 @@ def rank_and_select(
 
 def dump_round_diagnostics(
     path: str | Path,
-    schedule: CurriculumSchedule,
-    neighborhoods: dict[str, Neighborhood],
+    bank: MemoryBank,
+    entropies: np.ndarray,
+    selected: np.ndarray,
+    neighbors: np.ndarray,
 ) -> None:
-    """One row per sample: id, entropy, selected flag, neighbor ids."""
-    if schedule.entropies is None or schedule.selected is None:
-        raise ValueError("schedule has not been ranked yet")
-    chosen = set(schedule.selected)
+    """One row per sample, in id order: id, entropy, selected flag, neighbor ids.
+
+    entropies, selected and neighbors are scan_bank and curriculum_order
+    results over this bank's indices.
+    """
+    chosen = np.zeros(bank.size, dtype=bool)
+    chosen[selected] = True
+    ids = bank.ids
+    h, flags, hoods = entropies.tolist(), chosen.tolist(), neighbors.tolist()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["sample_id", "entropy", "selected", "neighbor_ids"])
-        for sid in sorted(schedule.entropies):
+        for i in np.argsort(bank.id_rank).tolist():
             w.writerow([
-                sid,
-                repr(schedule.entropies[sid]),
-                int(sid in chosen),
-                ";".join(neighborhoods[sid].neighbor_ids),
+                ids[i],
+                repr(h[i]),
+                int(flags[i]),
+                ";".join(ids[j] for j in hoods[i]),
             ])

@@ -8,6 +8,8 @@ stored entries of its discovered neighbors.
 The softmax, entropy and neighborhood loss run on batches of anchors in
 log space (log_softmax_rows, row_entropies, neighborhood_loss);
 softmax_row, entropy and anchor_neighborhood_loss are batches of one.
+log_softmax_scores is the softmax step alone, for scores already computed
+(the bank scan reuses its similarity blocks through it).
 """
 
 from __future__ import annotations
@@ -99,14 +101,23 @@ def log_softmax_rows(
     log-probability -inf (probability exactly zero) and drops out of the
     denominator.
     """
-    if not tau > 0:
-        raise ValueError(f"temperature must be positive, got {tau!r}")
     z = np.asarray(anchors, dtype=np.float64) @ bank.entries.T
     if not include_self:
         idx = np.asarray([] if anchor_indices is None else anchor_indices, dtype=np.intp)
         if idx.shape != (z.shape[0],) or np.any((idx < 0) | (idx >= z.shape[1])):
             raise ValueError("self-exclusion requires a valid anchor_index")
         z[np.arange(z.shape[0]), idx] = -np.inf
+    return log_softmax_scores(z, tau)
+
+
+def log_softmax_scores(z: np.ndarray, tau: float) -> np.ndarray:
+    """Max-shifted log-softmax of each row of similarities over tau, in place.
+
+    Returns z. A score of -inf gets log-probability -inf; every row needs
+    at least one finite score.
+    """
+    if not tau > 0:
+        raise ValueError(f"temperature must be positive, got {tau!r}")
     m = z.max(axis=1, keepdims=True)
     if not np.all(np.isfinite(m)):
         raise ValueError("softmax needs at least one finite score")

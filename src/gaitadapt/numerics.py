@@ -1,4 +1,4 @@
-"""Shared numerical kernels: cosine similarity, normalization, seeded RNG.
+"""Shared numerical kernels: cosine similarity, the norm floor, seeded RNG.
 
 Everything here is pure, double precision, and deterministic. These are the
 primitives the encoder, losses, and neighborhood machinery are built on.
@@ -33,15 +33,6 @@ def seed_stream(seed: int, *path: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def l2_normalize(a: np.ndarray) -> np.ndarray:
-    """Return a / ||a||. Raises DegenerateInputError on (near-)zero input."""
-    a = np.asarray(a, dtype=np.float64)
-    n = np.linalg.norm(a)
-    if n <= NORM_EPS:
-        raise DegenerateInputError(f"cannot normalize vector with norm {n!r}")
-    return a / n
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

@@ -19,11 +19,10 @@ from .data import sample_pk_batch
 from .discovery import (
     CurriculumSchedule,
     MemoryBank,
-    Neighborhood,
     build_bank,
-    discover_neighborhoods,
+    curriculum_order,
     dump_round_diagnostics,
-    rank_and_select,
+    scan_bank,
     update_bank,
 )
 from .encoder import (
@@ -219,11 +218,18 @@ def pretrain_source(
 
 @dataclass
 class RoundState:
-    """What a completed adaptation round leaves behind, for diagnostics."""
+    """What a completed adaptation round leaves behind, for diagnostics.
 
-    schedule: CurriculumSchedule
-    neighborhoods: dict[str, Neighborhood]
+    The arrays index the round's bank: neighbors (N, k) and entropies (N,)
+    as discovered at the start of the round, and the selected anchors in
+    selection order. The bank holds its entries at the end of the round.
+    """
+
+    round_index: int  # 1-based
     bank: MemoryBank
+    neighbors: np.ndarray
+    entropies: np.ndarray
+    selected: np.ndarray
 
 
 def adapt_target(
@@ -233,11 +239,11 @@ def adapt_target(
 ) -> tuple[EncoderParams, RunLog, list[RoundState]]:
     """Unsupervised adaptation over cfg.rounds curriculum rounds.
 
-    Round r: rebuild the bank from current parameters, discover
-    neighborhoods, rank samples by entropy and select the top r/R fraction
-    per the strategy, then train on shuffled anchor batches against the
-    (momentum-updated) bank snapshot. Neighborhoods and the selection stay
-    frozen within a round.
+    Round r: rebuild the bank from current parameters, find neighborhoods
+    and entropies in one scan of the bank, rank samples by entropy and
+    select the top r/R fraction per the strategy, then train on shuffled
+    anchor batches against the (momentum-updated) bank snapshot.
+    Neighborhoods and the selection stay frozen within a round.
     """
     if len(seqs) < 2:
         raise ValueError("target adaptation needs at least 2 samples")
@@ -246,36 +252,30 @@ def adapt_target(
             f"bank of {len(seqs)} samples cannot support k = {cfg.neighbors} neighbors"
         )
     params = params.copy()
-    by_sample = {s.sample_id: s for s in seqs}
+    n = len(seqs)
     log = RunLog()
     rounds: list[RoundState] = []
     epoch_global = 0
 
     for r in range(1, cfg.rounds + 1):
+        # bank index i is seqs[i] throughout the round
         bank = build_bank(seqs, params, momentum=cfg.bank_momentum)
-        hoods = discover_neighborhoods(bank, cfg.neighbors)
-        schedule = rank_and_select(
-            bank,
-            CurriculumSchedule(rounds=cfg.rounds, round_index=r, strategy=cfg.strategy),
-            cfg.tau,
-            seed_stream(cfg.seed, _ROLE_ADAPT, r, 0),
-            include_self=cfg.include_self,
-        )
+        neighbors, h = scan_bank(bank, cfg.neighbors, cfg.tau, cfg.include_self)
+        n_sel = CurriculumSchedule(cfg.rounds, r, cfg.strategy).selection_size(n)
+        ranking = curriculum_order(h, bank.id_rank, cfg.strategy,
+                                   seed_stream(cfg.seed, _ROLE_ADAPT, r, 0))
+        selected = ranking[:n_sel]
         # members[i]: bank indices of sample i's neighborhood, itself first
-        members = np.array(
-            [[i] + [bank.index[n] for n in hoods[sid].neighbor_ids]
-             for i, sid in enumerate(bank.ids)], dtype=np.intp)
-        selected = list(schedule.selected)
+        members = np.concatenate([np.arange(n)[:, None], neighbors], axis=1)
         if cfg.self_terms_for_unselected:
-            chosen = set(selected)
-            unselected = [sid for sid in bank.ids if sid not in chosen]
-            pool = selected + unselected
+            chosen = np.zeros(n, dtype=bool)
+            chosen[selected] = True
+            unselected = np.flatnonzero(~chosen)
+            pool = np.concatenate([selected, unselected])
             # a neighborhood of itself alone: the repeats count once
-            alone = np.array([bank.index[sid] for sid in unselected], dtype=np.intp)
-            members[alone] = alone[:, None]
+            members[unselected] = unselected[:, None]
         else:
             pool = selected
-        pool_index = np.array([bank.index[sid] for sid in pool], dtype=np.intp)
 
         for e in range(1, cfg.epochs_per_round + 1):
             t0 = time.perf_counter()
@@ -285,23 +285,21 @@ def adapt_target(
             order = rng.permutation(len(pool))
             epoch_loss = 0.0
             for start in range(0, len(order), cfg.adapt_batch_size):
-                picks = order[start:start + cfg.adapt_batch_size]
-                batch_ids = [pool[i] for i in picks]
-                batch_seqs = [by_sample[sid] for sid in batch_ids]
+                idx = pool[order[start:start + cfg.adapt_batch_size]]
+                batch_seqs = [seqs[i] for i in idx]
                 trace = encode_batch(batch_seqs, params)
                 fresh = trace.embeddings
-                idx = pool_index[picks]
                 log_probs = log_softmax_rows(fresh, bank, cfg.tau, idx, cfg.include_self)
                 loss, demb = neighborhood_loss(log_probs, idx, members[idx], bank, cfg.tau)
                 grads = encode_backward(batch_seqs, params, demb, trace=trace)
                 _sgd_step(params, grads, lr)
-                update_bank(bank, batch_ids, fresh)
+                update_bank(bank, idx, fresh)
                 epoch_loss += loss
             # the loss is a sum over anchors; log its mean per anchor
             log.add(stage="adapt", round_index=r, epoch=epoch_global,
                     loss=epoch_loss / len(pool),
                     learning_rate=lr, wall_time=time.perf_counter() - t0)
-        rounds.append(RoundState(schedule=schedule, neighborhoods=hoods, bank=bank))
+        rounds.append(RoundState(r, bank, neighbors, h, selected))
     return params, log, rounds
 
 
@@ -311,7 +309,8 @@ def dump_round_files(out_dir: str | Path, rounds: list[RoundState]) -> list[Path
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for state in rounds:
-        path = out_dir / f"discovery_round{state.schedule.round_index}.csv"
-        dump_round_diagnostics(path, state.schedule, state.neighborhoods)
+        path = out_dir / f"discovery_round{state.round_index}.csv"
+        dump_round_diagnostics(path, state.bank, state.entropies, state.selected,
+                               state.neighbors)
         written.append(path)
     return written

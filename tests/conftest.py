@@ -12,7 +12,7 @@ import pytest
 
 from gaitadapt.data import DomainSpec, generate_domain
 from gaitadapt.encoder import EncoderShape, SilhouetteSequence, init_params
-from gaitadapt.numerics import l2_normalize, seed_stream
+from gaitadapt.numerics import seed_stream
 
 # Small enough that finite-difference sweeps over every parameter stay fast,
 # large enough to exercise the strip pyramid (2 scales -> 3 strips).
@@ -57,7 +57,9 @@ def random_sequences(rng, n_ids, per_id, shape=SMALL_SHAPE, frames=3, prefix="id
 
 
 def random_unit_rows(rng, n, dim):
-    return np.stack([l2_normalize(rng.standard_normal(dim)) for _ in range(n)])
+    """n unit rows, one standard-normal draw of dim values each."""
+    rows = [rng.standard_normal(dim) for _ in range(n)]
+    return np.stack([v / np.linalg.norm(v) for v in rows])
 
 
 @pytest.fixture(scope="session")

@@ -304,6 +304,15 @@ class TestLoadErrors:
         with pytest.raises(DatasetError, match="M001-nm-01-090.*truncated"):
             load_dataset(root)
 
+    def test_trailing_frame_names_sample(self, tmp_path):
+        # a whole extra 8x8 frame of valid pixels after the declared data
+        root = self._micro(tmp_path)
+        target = self._sequence_file(root)
+        target.write_bytes(target.read_bytes() + bytes([255]) * 64)
+        with pytest.raises(DatasetError,
+                           match="M001-nm-01-090.*64 bytes of trailing data"):
+            load_dataset(root)
+
     def test_row_count_must_match_frame_count(self, tmp_path):
         root = self._micro(tmp_path)
         target = self._sequence_file(root)

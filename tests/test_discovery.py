@@ -11,13 +11,15 @@ from gaitadapt.discovery import (
     Neighborhood,
     bank_entropies,
     build_bank,
+    curriculum_order,
     discover_neighborhoods,
     dump_round_diagnostics,
     rank_and_select,
+    scan_bank,
     update_bank,
 )
 from gaitadapt.encoder import SilhouetteSequence, encode_sequence, init_params
-from gaitadapt.losses import entropy, softmax_row
+from gaitadapt.losses import entropy, log_softmax_rows, row_entropies, softmax_row
 from gaitadapt.numerics import DegenerateInputError, make_rng, seed_stream
 
 from conftest import SMALL_SHAPE, random_sequences, random_unit_rows
@@ -77,7 +79,7 @@ class TestBuildBank:
 class TestUpdateBank:
     def test_halfway_update_hand_value(self):
         bank = MemoryBank(("a", "b"), np.eye(2), momentum=0.5)
-        out = update_bank(bank, ["a"], np.array([[0.0, 1.0]]))
+        out = update_bank(bank, [0], np.array([[0.0, 1.0]]))
         assert out is bank  # in-place by design
         expected = np.array([1.0, 1.0]) / math.sqrt(2.0)
         assert np.allclose(bank.entries[0], expected, atol=1e-15)
@@ -87,50 +89,51 @@ class TestUpdateBank:
         rng = make_rng(2)
         bank = _unit_bank(rng, 3, momentum=0.0)
         fresh = random_unit_rows(rng, 1, 4)
-        update_bank(bank, [bank.ids[1]], fresh)
+        update_bank(bank, [1], fresh)
         assert np.allclose(bank.entries[1], fresh[0], atol=1e-15)
 
     def test_entries_stay_unit_norm(self):
         rng = make_rng(3)
         bank = _unit_bank(rng, 5, momentum=0.7)
         fresh = random_unit_rows(rng, 5, 4)
-        update_bank(bank, list(bank.ids), fresh)
+        update_bank(bank, np.arange(5), fresh)
         assert np.allclose(np.linalg.norm(bank.entries, axis=1), 1.0, atol=1e-12)
 
-    def test_unknown_id_rejected(self):
+    def test_out_of_range_index_rejected(self):
         bank = MemoryBank(("a", "b"), np.eye(2))
-        with pytest.raises(ValueError, match="unknown sample id"):
-            update_bank(bank, ["zzz"], np.eye(2)[:1])
+        for bad in (2, -1):
+            with pytest.raises(ValueError, match=f"bank index {bad} out of range"):
+                update_bank(bank, [0, bad], np.eye(2)[[1, 0]])
+            assert np.array_equal(bank.entries, np.eye(2))
 
     def test_shape_mismatch_rejected(self):
         bank = MemoryBank(("a", "b"), np.eye(2))
         with pytest.raises(ValueError, match="shape"):
-            update_bank(bank, ["a"], np.ones((1, 3)))
+            update_bank(bank, [0], np.ones((1, 3)))
 
-    def test_duplicate_ids_rejected(self):
-        # one vectorised step cannot compound a repeated id; refuse it
-        bank = MemoryBank(("a", "b"), np.eye(2))
-        with pytest.raises(ValueError, match="'a' appears more than once"):
-            update_bank(bank, ["a", "b", "a"], np.eye(2)[[1, 0, 1]])
-        assert np.array_equal(bank.entries, np.eye(2))
+    def test_repeated_index_rejected(self):
+        # one vectorised step cannot compound a repeated index; refuse it
+        bank = MemoryBank(("a", "b", "c"), np.eye(3))
+        with pytest.raises(ValueError, match="bank index 2 appears more than once"):
+            update_bank(bank, [2, 1, 0, 2], np.eye(3)[[1, 0, 1, 0]])
+        assert np.array_equal(bank.entries, np.eye(3))
 
     def test_zero_norm_update_is_degenerate(self):
         bank = MemoryBank(("a", "b"), np.eye(2), momentum=0.5)
         with pytest.raises(DegenerateInputError, match="'b'"):
-            update_bank(bank, ["a", "b"], np.array([[0.0, 1.0], [0.0, -1.0]]))
+            update_bank(bank, [0, 1], np.array([[0.0, 1.0], [0.0, -1.0]]))
         assert np.array_equal(bank.entries, np.eye(2))
 
     def test_matches_one_row_at_a_time(self):
         rng = make_rng(14)
         bank = _unit_bank(rng, 6, momentum=0.3)
-        ids = [bank.ids[4], bank.ids[1], bank.ids[2]]
+        idx = [4, 1, 2]
         fresh = random_unit_rows(rng, 3, 4)
         want = bank.entries.copy()
-        for sid, vec in zip(ids, fresh):
-            i = bank.index[sid]
+        for i, vec in zip(idx, fresh):
             mixed = 0.3 * want[i] + 0.7 * vec
             want[i] = mixed / np.linalg.norm(mixed)
-        update_bank(bank, ids, fresh)
+        update_bank(bank, idx, fresh)
         assert np.allclose(bank.entries, want, rtol=0, atol=1e-15)
 
 
@@ -179,6 +182,9 @@ class TestDiscoverNeighborhoods:
             discover_neighborhoods(bank, 0)
         with pytest.raises(ValueError, match="smaller than the bank"):
             discover_neighborhoods(bank, 4)
+        for k in (-1, 4):
+            with pytest.raises(ValueError, match=r"must be in \[0, 4\)"):
+                scan_bank(bank, k, 0.1)
 
 
 def _tied_bank(n=600, d=4, seed=17):
@@ -209,10 +215,13 @@ class TestBlockedPass:
         n = bank.size
         assert n > 2 * BLOCK_ROWS
         got = discover_neighborhoods(bank, k)
+        neighbors, _ = scan_bank(bank, k, tau=0.05)
+        assert neighbors.shape == (n, k)
         boundary_ties = split_ties = 0
         for i, sid in enumerate(bank.ids):
             sims = bank.entries @ bank.entries[i]
             cand = sorted((-sims[j], bank.ids[j], j) for j in range(n) if j != i)
+            assert neighbors[i].tolist() == [c[2] for c in cand[:k]], sid
             assert got[sid].neighbor_ids == tuple(c[1] for c in cand[:k]), sid
             tied = [c[2] for c in cand if c[0] == cand[k - 1][0]]
             if cand[k][0] == cand[k - 1][0]:
@@ -230,6 +239,21 @@ class TestBlockedPass:
                 row = softmax_row(bank.entries[i], bank, tau, anchor_index=i,
                                   include_self=include_self)
                 assert h[i] == pytest.approx(entropy(row), abs=1e-12), (tau, i)
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_scan_entropies_equal_blockwise_softmax_bitwise(self, include_self):
+        # the one-product scan keeps the separate entropy pass's values exactly
+        bank = _tied_bank()
+        for tau in (0.05, 1e-3):
+            want = np.concatenate([
+                row_entropies(log_softmax_rows(bank.entries[lo:lo + BLOCK_ROWS], bank, tau,
+                                               np.arange(lo, min(lo + BLOCK_ROWS, bank.size)),
+                                               include_self))
+                for lo in range(0, bank.size, BLOCK_ROWS)])
+            for k in (0, 1, 4, 9):
+                _, h = scan_bank(bank, k, tau, include_self)
+                assert np.array_equal(h, want), (tau, k)
+            assert np.array_equal(bank_entropies(bank, tau, include_self), want)
 
 
 class TestCurriculumSchedule:
@@ -337,8 +361,10 @@ class TestRoundDiagnostics:
         sched = rank_and_select(bank, CurriculumSchedule(3, 2, "high"), 1.0,
                                 make_rng(0))
         hoods = discover_neighborhoods(bank, 1)
+        neighbors, h = scan_bank(bank, 1, 1.0)
+        selected = [bank.index[sid] for sid in sched.selected]
         path = tmp_path / "round1.csv"
-        dump_round_diagnostics(path, sched, hoods)
+        dump_round_diagnostics(path, bank, h, selected, neighbors)
 
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -355,12 +381,8 @@ class TestRoundDiagnostics:
     def test_write_is_deterministic(self, tmp_path):
         rng = make_rng(13)
         bank = _unit_bank(rng, 6)
-        sched = rank_and_select(bank, CurriculumSchedule(2, 1, "low"), 0.1, rng)
-        hoods = discover_neighborhoods(bank, 2)
-        dump_round_diagnostics(tmp_path / "a.csv", sched, hoods)
-        dump_round_diagnostics(tmp_path / "b.csv", sched, hoods)
+        neighbors, h = scan_bank(bank, 2, 0.1)
+        selected = curriculum_order(h, bank.id_rank, "low", rng)[:3]
+        dump_round_diagnostics(tmp_path / "a.csv", bank, h, selected, neighbors)
+        dump_round_diagnostics(tmp_path / "b.csv", bank, h, selected, neighbors)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
-    def test_unranked_schedule_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="ranked"):
-            dump_round_diagnostics(tmp_path / "x.csv", CurriculumSchedule(2, 1), {})

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from gaitadapt.numerics import (
     DegenerateInputError,
     cosine_similarity,
-    l2_normalize,
     make_rng,
     pairwise_similarity,
     seed_stream,
 )
+
+from conftest import random_unit_rows
 
 finite_vec = st.lists(
     st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
@@ -40,27 +41,6 @@ class TestSeedStreams:
 
     def test_make_rng_reproducible(self):
         assert np.array_equal(make_rng(9).random(64), make_rng(9).random(64))
-
-
-class TestNormalize:
-    def test_unit_norm(self):
-        rng = make_rng(0)
-        for _ in range(20):
-            v = l2_normalize(rng.standard_normal(7))
-            assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-
-    def test_direction_preserved(self):
-        v = np.array([3.0, 4.0])
-        assert np.allclose(l2_normalize(v), [0.6, 0.8], atol=1e-15)
-
-    def test_scale_invariant(self):
-        rng = make_rng(1)
-        v = rng.standard_normal(5)
-        assert np.allclose(l2_normalize(v), l2_normalize(17.0 * v), atol=1e-12)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            l2_normalize(np.zeros(4))
 
 
 class TestCosine:
@@ -98,8 +78,8 @@ class TestCosine:
 class TestPairwiseSimilarity:
     def test_matches_cosine_loop(self):
         rng = make_rng(3)
-        rows = np.stack([l2_normalize(rng.standard_normal(6)) for _ in range(5)])
-        cols = np.stack([l2_normalize(rng.standard_normal(6)) for _ in range(4)])
+        rows = random_unit_rows(rng, 5, 6)
+        cols = random_unit_rows(rng, 4, 6)
         got = pairwise_similarity(rows, cols)
         for i in range(5):
             for j in range(4):
@@ -107,7 +87,7 @@ class TestPairwiseSimilarity:
 
     def test_self_similarity_symmetric(self):
         rng = make_rng(4)
-        rows = np.stack([l2_normalize(rng.standard_normal(8)) for _ in range(7)])
+        rows = random_unit_rows(rng, 7, 8)
         s = pairwise_similarity(rows, rows)
         assert np.array_equal(s, s.T)
         assert np.allclose(np.diag(s), 1.0, atol=1e-12)
@@ -126,6 +106,6 @@ class TestPairwiseSimilarity:
 
     def test_deterministic(self):
         rng = make_rng(5)
-        rows = np.stack([l2_normalize(rng.standard_normal(6)) for _ in range(9)])
+        rows = random_unit_rows(rng, 9, 6)
         assert np.array_equal(pairwise_similarity(rows, rows),
                               pairwise_similarity(rows.copy(), rows.copy()))

@@ -168,8 +168,8 @@ class TestAdapt:
         for r in log.records:
             assert r.learning_rate == lr_at(r.epoch, cfg, stage="adapt")
         # 18 target samples: round 1 selects ceil(18/2), round 2 everything
-        assert [len(s.schedule.selected) for s in rounds] == [9, 18]
-        assert [s.schedule.round_index for s in rounds] == [1, 2]
+        assert [len(s.selected) for s in rounds] == [9, 18]
+        assert [s.round_index for s in rounds] == [1, 2]
         assert not _params_equal(out, pretrained)
 
     def test_deterministic(self, target_train, pretrained):
@@ -219,11 +219,10 @@ class TestAdapt:
         _, _, rounds = adapt_target(target_train, pretrained, cfg)
         start = build_bank(target_train, pretrained, cfg.bank_momentum)
         state = rounds[0]
-        chosen = set(state.schedule.selected)
-        for sid in start.ids:
-            same = np.array_equal(state.bank.entries[state.bank.index[sid]],
-                                  start.entries[start.index[sid]])
-            assert same == (sid not in chosen), sid
+        chosen = set(state.selected.tolist())
+        for i, sid in enumerate(start.ids):
+            same = np.array_equal(state.bank.entries[i], start.entries[i])
+            assert same == (i not in chosen), sid
 
     def test_self_terms_update_every_entry(self, target_train, pretrained):
         cfg = _small_cfg(rounds=2, epochs_per_round=2,
@@ -231,9 +230,8 @@ class TestAdapt:
         _, _, rounds = adapt_target(target_train, pretrained, cfg)
         start = build_bank(target_train, pretrained, cfg.bank_momentum)
         state = rounds[0]
-        for sid in start.ids:
-            assert not np.array_equal(state.bank.entries[state.bank.index[sid]],
-                                      start.entries[start.index[sid]]), sid
+        for i, sid in enumerate(start.ids):
+            assert not np.array_equal(state.bank.entries[i], start.entries[i]), sid
 
     def test_rejects_tiny_banks(self, pretrained, target_train):
         with pytest.raises(ValueError, match="at least 2"):
