@@ -22,11 +22,10 @@ spec = dataclasses.replace(default_source_spec(), identities=6, test_identities=
 print(f"domain: {spec.identities}+{spec.test_identities} identities, "
       f"walks {spec.walks}, views {spec.views}, {spec.height}x{spec.width}")
 
-workdir = tempfile.mkdtemp(prefix="gaitadapt_demo_")
-generate_domain(spec, workdir, domain="source", seed=42)
-ds = load_dataset(workdir)
-train = ds.split("train")
-print(f"generated {len(train)} training sequences under {workdir}")
+with tempfile.TemporaryDirectory(prefix="gaitadapt_demo_") as workdir:
+    generate_domain(spec, workdir, domain="source", seed=42)
+    train = load_dataset(workdir).split("train")
+print(f"generated and loaded {len(train)} training sequences")
 
 seq = train[0]
 print(f"\nfirst sequence: {seq.sample_id}, frames {seq.frames.shape}, "

@@ -24,9 +24,9 @@ from gaitadapt.encoder import init_params
 from gaitadapt.numerics import make_rng, seed_stream
 
 spec = dataclasses.replace(default_target_spec(), identities=8, test_identities=2)
-workdir = tempfile.mkdtemp(prefix="gaitadapt_demo_")
-generate_domain(spec, workdir, domain="target", seed=7)
-train = load_dataset(workdir).split("train")
+with tempfile.TemporaryDirectory(prefix="gaitadapt_demo_") as workdir:
+    generate_domain(spec, workdir, domain="target", seed=7)
+    train = load_dataset(workdir).split("train")
 
 params = init_params(default_encoder_shape(), make_rng(0))
 bank = build_bank(train, params)

@@ -18,7 +18,6 @@ from gaitadapt.evaluation import make_protocol, rank1
 from gaitadapt.pipeline import pretrain_source, adapt_target
 
 cfg = preset_config("desk")
-work = Path(tempfile.mkdtemp(prefix="gaitadapt_demo_"))
 seed = 1
 
 
@@ -30,10 +29,12 @@ def eval_on_target(params):
 
 
 print("generating source and target domains ...")
-generate_domain(cfg.source, work / "source", "source", seed)
-generate_domain(cfg.target, work / "target", "target", seed)
-source = load_dataset(work / "source")
-target = load_dataset(work / "target")
+with tempfile.TemporaryDirectory(prefix="gaitadapt_demo_") as tmp:
+    work = Path(tmp)
+    generate_domain(cfg.source, work / "source", "source", seed)
+    generate_domain(cfg.target, work / "target", "target", seed)
+    source = load_dataset(work / "source")
+    target = load_dataset(work / "target")
 
 print(f"pretraining, {cfg.train.pretrain_epochs} epochs ...")
 params, log = pretrain_source(source.split("train"), cfg.encoder, cfg.train)

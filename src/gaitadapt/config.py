@@ -8,6 +8,7 @@ snapshot so it can be reproduced exactly.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,6 +19,15 @@ from .pipeline import TrainConfig, desk_preset, paper_preset
 
 CONFIG_VERSION = 1
 
+# the JSON values a scalar field takes, by its annotation; type(v) is int
+# turns away a bool, which Python counts as an int
+_SCALAR_KINDS = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
+    "float | None": ("a finite number or null",
+                     lambda v: v is None or type(v) in (int, float) and math.isfinite(v)),
+    "bool": ("true or false", lambda v: type(v) is bool),
+}
 
 class ConfigError(ValueError):
     """The configuration document is malformed or inconsistent."""
@@ -98,9 +108,23 @@ class ExperimentConfig:
                 f"unknown config section(s) {unknown}, expected format_version"
                 f" or one of {sorted(sections)}")
         try:
+            for section, kind in sections.items():
+                if section in doc:
+                    _check_scalars(section, kind, doc[section])
             return cls(**{k: kind(**doc[k]) for k, kind in sections.items() if k in doc})
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from e
+
+
+def _check_scalars(section: str, kind: type, values: dict) -> None:
+    """Raise ConfigError naming section.field for a scalar field whose value
+    does not match its annotation."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"config section {section} must be an object, got {values!r}")
+    for f in dataclasses.fields(kind):
+        wanted, ok = _SCALAR_KINDS.get(f.type, (None, None))
+        if ok and f.name in values and not ok(values[f.name]):
+            raise ConfigError(f"{section}.{f.name} must be {wanted}, got {values[f.name]!r}")
 
 
 def preset_config(name: str) -> ExperimentConfig:

@@ -4,7 +4,10 @@ A sequence is encoded as embed(pyramid(set_pool({frame_encode(x_k)}))):
 each frame is split into horizontal bands and passed through two shared
 affine+ReLU layers, frames are aggregated by an element-wise max (order
 invariant), and the pooled map is read out by a multi-scale strip pyramid
-whose concatenated output is L2-normalized.
+whose concatenated output is L2-normalized. All strips, scale-major, share
+one stacked strip.weight (n_strips, strip_dim, channels) and strip.bias
+(n_strips, strip_dim); checkpoints carry format_version 2, and version 1
+(one tensor per strip) is refused.
 
 One batched forward pass (encode_batch) serves training, bank building and
 evaluation; it returns a trace that the hand-written reverse-mode pass
@@ -14,6 +17,7 @@ differences in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -22,7 +26,7 @@ import numpy as np
 from .files import read_json, write_json
 from .numerics import NORM_EPS, DegenerateInputError
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # frames per forward-only chunk in encode_sequences: about 2 MB of float64
 # activations at 24x24, so encoding a large bank keeps peak memory flat
@@ -99,16 +103,14 @@ class SilhouetteSequence:
 
 def _param_layout(shape: EncoderShape) -> list[tuple[str, tuple[int, ...]]]:
     """Canonical (name, dims) layout; fixes init draw order and accumulation order."""
-    layout = [
+    return [
         ("frame.weight", (shape.channels, shape.band_pixels)),
         ("frame.bias", (shape.channels,)),
         ("mix.weight", (shape.channels, shape.channels)),
         ("mix.bias", (shape.channels,)),
+        ("strip.weight", (shape.n_strips, shape.strip_dim, shape.channels)),
+        ("strip.bias", (shape.n_strips, shape.strip_dim)),
     ]
-    for t in range(shape.n_strips):
-        layout.append((f"strip{t}.weight", (shape.strip_dim, shape.channels)))
-        layout.append((f"strip{t}.bias", (shape.strip_dim,)))
-    return layout
 
 
 @dataclass
@@ -138,23 +140,10 @@ def init_params(shape: EncoderShape, rng: np.random.Generator) -> EncoderParams:
         if name.endswith(".bias"):
             tensors[name] = np.zeros(dims, dtype=np.float64)
         else:
-            fan_out, fan_in = dims
+            fan_out, fan_in = dims[-2:]
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             tensors[name] = rng.uniform(-bound, bound, size=dims)
     return EncoderParams(shape, tensors)
-
-
-def _strip_slices(shape: EncoderShape) -> list[tuple[int, int, int]]:
-    """(band_start, band_stop, strip_index) for every strip, scale-major order."""
-    out = []
-    t = 0
-    for s in range(1, shape.scales + 1):
-        groups = 2 ** (s - 1)
-        size = shape.bands // groups
-        for g in range(groups):
-            out.append((g * size, (g + 1) * size, t))
-            t += 1
-    return out
 
 
 def _affine_relu(a: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -174,7 +163,7 @@ class EncoderTrace:
     u: np.ndarray               # (F, B, C) frame layer output
     v: np.ndarray               # (F, B, C) mixing layer output
     pooled: np.ndarray          # (n, B, C) max over each sequence's frames
-    strip_means: list[np.ndarray]  # per strip, (n, C)
+    strip_means: np.ndarray     # (n, S, C) band means of every strip
     norms: np.ndarray           # (n,) pre-normalization norms
     embeddings: np.ndarray      # (n, d) unit-norm rows
 
@@ -206,13 +195,12 @@ def encode_batch(seqs: list[SilhouetteSequence], params: EncoderParams) -> Encod
     v = _affine_relu(u, params["mix.weight"], params["mix.bias"])
     pooled = np.maximum.reduceat(v, starts, axis=0)
 
-    strip_means, pieces = [], []
-    for b0, b1, t in _strip_slices(shape):
-        m = pooled[:, b0:b1].mean(axis=1)
-        strip_means.append(m)
-        pieces.append((params[f"strip{t}.weight"] @ m[:, :, None])[:, :, 0]
-                      + params[f"strip{t}.bias"])
-    pre_norm = np.concatenate(pieces, axis=1)
+    # scale s averages the bands of each of its 2^s strips, s = 0..scales-1
+    n = len(pooled)
+    means = np.concatenate([pooled.reshape(n, 2 ** s, -1, shape.channels).mean(axis=2)
+                            for s in range(shape.scales)], axis=1)
+    pre_norm = (params["strip.weight"] @ means[..., None])[..., 0] + params["strip.bias"]
+    pre_norm = pre_norm.reshape(n, shape.embed_dim)
     norms = np.sqrt((pre_norm[:, None, :] @ pre_norm[:, :, None])[:, 0, 0])
     dead = np.flatnonzero(norms <= NORM_EPS)
     if dead.size:
@@ -221,7 +209,7 @@ def encode_batch(seqs: list[SilhouetteSequence], params: EncoderParams) -> Encod
             f"sample {seqs[i].sample_id}: cannot normalize embedding with norm {norms[i]!r}"
         )
     return EncoderTrace(starts=starts, x=x, u=u, v=v, pooled=pooled,
-                        strip_means=strip_means, norms=norms,
+                        strip_means=means, norms=norms,
                         embeddings=pre_norm / norms[:, None])
 
 
@@ -280,14 +268,19 @@ def encode_backward(
     y = trace.embeddings
     dpre = (demb - y * (y * demb).sum(axis=1, keepdims=True)) / trace.norms[:, None]
 
+    n = len(dpre)
+    dstrip = dpre.reshape(n, shape.n_strips, shape.strip_dim).transpose(1, 0, 2)
+    grads["strip.weight"] = dstrip.transpose(0, 2, 1) @ trace.strip_means.transpose(1, 0, 2)
+    grads["strip.bias"] = dstrip.sum(axis=1)
+    dm = dstrip @ params["strip.weight"]       # (S, n, C)
+
+    # each strip's mean spreads its gradient evenly over its bands; the 2^s
+    # strips of scale s are strips 2^s - 1 .. 2^(s+1) - 2
     dpooled = np.zeros_like(trace.pooled)
-    sd = shape.strip_dim
-    for (b0, b1, t), m in zip(_strip_slices(shape), trace.strip_means):
-        dv_t = dpre[:, t * sd:(t + 1) * sd]
-        grads[f"strip{t}.weight"] = dv_t.T @ m
-        grads[f"strip{t}.bias"] = dv_t.sum(axis=0)
-        dm = dv_t @ params[f"strip{t}.weight"]
-        dpooled[:, b0:b1] += dm[:, None, :] / (b1 - b0)
+    for s in range(shape.scales):
+        g = 2 ** s
+        bands = dpooled.reshape(n, g, -1, shape.channels)
+        bands += (dm[g - 1:2 * g - 1] / bands.shape[2]).transpose(1, 0, 2)[:, :, None, :]
 
     # unpool: each cell's winner is the first frame of its sequence that
     # equals the pooled max
@@ -337,7 +330,12 @@ def load_checkpoint(path: str | Path) -> EncoderParams:
                 raise ValueError(
                     f"checkpoint parameter {name!r} has dims {entry['dims']}, expected {list(dims)}"
                 )
-            tensors[name] = np.asarray(entry["values"], dtype=np.float64).reshape(dims)
+            values = entry["values"]
+            if not (isinstance(values, list) and len(values) == math.prod(dims) and all(
+                    type(v) in (int, float) and math.isfinite(v) for v in values)):
+                raise ValueError(
+                    f"checkpoint parameter {name!r} must hold {math.prod(dims)} finite numbers")
+            tensors[name] = np.array(values, dtype=np.float64).reshape(dims)
     except (KeyError, TypeError) as e:
         raise ValueError(f"{path}: malformed checkpoint ({type(e).__name__}: {e})") from e
     return EncoderParams(shape, tensors)

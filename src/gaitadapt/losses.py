@@ -40,6 +40,11 @@ def triplet_loss(
     label(n) != label(a) contribute hinge(d(a,p) - d(a,n) + margin); the
     loss is the mean over the total triple count (inactive triples stay in
     the denominator). Distances are Euclidean.
+
+    The gradient is a graph-Laplacian product: with w[i, j] the active
+    triples that pair (i, j) enters as anchor-positive minus those it enters
+    as anchor-negative, a = w / d (0 where d <= _DIST_EPS) and s = a + a^T,
+    it is (diag(s 1) - s) e / total.
     """
     if not margin > 0:
         raise ValueError(f"margin must be positive, got {margin!r}")
@@ -69,19 +74,10 @@ def triplet_loss(
     active = valid & (hinge > 0.0)
     loss = float(np.where(active, hinge, 0.0).sum() / total)
 
-    # unit difference directions, zeroed where the distance is degenerate
-    safe = dist > _DIST_EPS
-    unit = np.zeros_like(diffs)
-    unit[safe] = diffs[safe] / dist[safe][:, None]
-
-    w_ap = active.sum(axis=2).astype(np.float64)  # times pair (a,p) is active
-    w_an = active.sum(axis=1).astype(np.float64)  # times pair (a,n) is active
-    pos_terms = w_ap[:, :, None] * unit
-    neg_terms = w_an[:, :, None] * unit
-    grads = (
-        pos_terms.sum(axis=1) - pos_terms.sum(axis=0)
-        - neg_terms.sum(axis=1) + neg_terms.sum(axis=0)
-    ) / total
+    w = active.sum(axis=2) - active.sum(axis=1)
+    a = np.divide(w, dist, out=np.zeros_like(dist), where=dist > _DIST_EPS)
+    s = a + a.T
+    grads = (s.sum(axis=1)[:, None] * emb - s @ emb) / total
     return loss, grads
 
 

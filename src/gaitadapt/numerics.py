@@ -1,4 +1,4 @@
-"""Shared numerical kernels: cosine similarity, the norm floor, seeded RNG.
+"""Shared numerical kernels: the norm floor and seeded RNG streams.
 
 Everything here is pure, double precision, and deterministic. These are the
 primitives the encoder, losses, and neighborhood machinery are built on.
@@ -46,20 +46,3 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     if na <= NORM_EPS or nb <= NORM_EPS:
         raise DegenerateInputError(f"cosine undefined for norms ({na!r}, {nb!r})")
     return float(np.dot(a, b) / (na * nb))
-
-
-def pairwise_similarity(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Cosine similarity of every row vector against every col vector.
-
-    Both inputs must already be unit-normalized (entry (i, j) is then just
-    the dot product). Exactly symmetric when rows and cols coincide.
-    """
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    cols = np.atleast_2d(np.asarray(cols, dtype=np.float64))
-    if rows.shape[1] != cols.shape[1]:
-        raise ValueError(f"dimension mismatch: {rows.shape[1]} vs {cols.shape[1]}")
-    for name, m in (("rows", rows), ("cols", cols)):
-        norms = np.linalg.norm(m, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
-            raise ValueError(f"{name} must be unit-normalized")
-    return rows @ cols.T

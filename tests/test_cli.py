@@ -358,6 +358,20 @@ def _as_list(text):
     return json.dumps([json.loads(text)])
 
 
+def _set_config_field(section, key, value):
+    def mutate(text):
+        doc = json.loads(text)
+        doc[section][key] = value(doc[section][key]) if callable(value) else value
+        return json.dumps(doc)
+    return mutate
+
+
+def _nan_parameter_value(text):
+    doc = json.loads(text)
+    doc["params"]["mix.weight"]["values"][3] = float("nan")
+    return json.dumps(doc)
+
+
 MALFORMED = {
     "manifest-truncated": ("manifest", lambda text: text[:len(text) // 2], "E_DATA"),
     "manifest-without-records": ("manifest", _drop("records"), "E_DATA"),
@@ -366,8 +380,19 @@ MALFORMED = {
     "manifest-version-1": ("manifest", _set_version(1), "E_DATA"),
     "checkpoint-without-shape": ("checkpoint", _drop("shape"), "E_INVALID"),
     "checkpoint-without-params": ("checkpoint", _drop("params"), "E_INVALID"),
+    "checkpoint-nan-value": ("checkpoint", _nan_parameter_value, "E_INVALID"),
+    "checkpoint-version-1": ("checkpoint", _set_version(1), "E_INVALID"),
     "config-list": ("config", _as_list, "E_CONFIG"),
     "config-unknown-section": ("config", _add_section, "E_CONFIG"),
+    "config-string-bool": ("config", _set_config_field("train", "include_self", "no"),
+                           "E_CONFIG"),
+    "config-float-height": ("config", _set_config_field("encoder", "height", float),
+                            "E_CONFIG"),
+    "config-fractional-epochs": ("config", _set_config_field("train", "pretrain_epochs", 1.5),
+                                 "E_CONFIG"),
+    "config-nan-learning-rate": ("config",
+                                 _set_config_field("train", "learning_rate", float("nan")),
+                                 "E_CONFIG"),
 }
 
 

@@ -114,6 +114,32 @@ class TestSerialization:
         with pytest.raises(ConfigError, match="format_version"):
             ExperimentConfig.from_dict({"format_version": 3})
 
+    @pytest.mark.parametrize("section,key,value,wanted", [
+        ("train", "include_self", "no", "true or false"),
+        ("train", "include_self", 1, "true or false"),
+        ("encoder", "height", 24.0, "an integer"),
+        ("train", "pretrain_epochs", 1.5, "an integer"),
+        ("train", "seed", True, "an integer"),
+        ("train", "learning_rate", float("nan"), "a finite number"),
+        ("train", "margin", float("inf"), "a finite number"),
+        ("train", "adapt_learning_rate", "0.1", "a finite number or null"),
+        ("target", "noise", False, "a finite number"),
+    ])
+    def test_scalar_field_type_is_checked(self, section, key, value, wanted):
+        doc = preset_config("desk").to_dict()
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=f"^{section}.{key} must be {wanted}, got "):
+            ExperimentConfig.from_dict(doc)
+
+    def test_int_accepted_for_float_and_null_for_optional(self):
+        doc = preset_config("desk").to_dict()
+        doc["train"].update(margin=1, adapt_learning_rate=None)
+        assert ExperimentConfig.from_dict(doc).train.margin == 1
+
+    def test_section_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="section train must be an object"):
+            ExperimentConfig.from_dict({"train": 5})
+
     def test_unknown_section_is_refused(self):
         # a misspelled section must not load silently as the defaults
         with pytest.raises(ConfigError, match=r"unknown config section\(s\) \['trian'\]"):

@@ -69,8 +69,9 @@ class TestParams:
     def test_layout_order(self, small_params):
         names = small_params.names()
         assert names[:4] == ["frame.weight", "frame.bias", "mix.weight", "mix.bias"]
-        assert names[4:] == ["strip0.weight", "strip0.bias", "strip1.weight",
-                             "strip1.bias", "strip2.weight", "strip2.bias"]
+        assert names[4:] == ["strip.weight", "strip.bias"]
+        assert small_params["strip.weight"].shape == (3, 2, 3)
+        assert small_params["strip.bias"].shape == (3, 2)
 
     def test_init_biases_zero_weights_bounded(self, small_params):
         for name in small_params.names():
@@ -78,7 +79,7 @@ class TestParams:
             if name.endswith(".bias"):
                 assert np.array_equal(t, np.zeros_like(t))
             else:
-                fan_out, fan_in = t.shape
+                fan_out, fan_in = t.shape[-2:]
                 bound = np.sqrt(6.0 / (fan_in + fan_out))
                 assert np.all(np.abs(t) <= bound)
 
@@ -136,8 +137,8 @@ class TestForward:
             size = sh.bands // (2 ** (s - 1))
             for g in range(2 ** (s - 1)):
                 m = pooled[g * size:(g + 1) * size].mean(axis=0)
-                pieces.append(small_params[f"strip{t}.weight"] @ m
-                              + small_params[f"strip{t}.bias"])
+                pieces.append(small_params["strip.weight"][t] @ m
+                              + small_params["strip.bias"][t])
                 t += 1
         flat = np.concatenate(pieces)
         expected = flat / np.linalg.norm(flat)
@@ -305,11 +306,37 @@ class TestCheckpoint:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_rejects_bad_version(self, small_params, tmp_path):
+        # 1 is the retired layout with one tensor per strip
+        import json
         path = tmp_path / "enc.json"
         save_checkpoint(small_params, path)
-        doc = path.read_text().replace('"format_version": 1', '"format_version": 99')
-        path.write_text(doc)
-        with pytest.raises(ValueError, match="format_version"):
+        doc = json.loads(path.read_text())
+        for version in (1, 99):
+            doc["format_version"] = version
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match=f"format_version {version}"):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("name,index,value,count", [
+        ("mix.weight", 4, float("nan"), 9),
+        ("frame.bias", 0, float("inf"), 3),
+        ("frame.bias", 1, "0.5", 3),
+        ("frame.bias", 2, True, 3),
+        ("strip.weight", -1, None, 18),     # None: drop the value
+    ])
+    def test_rejects_bad_values_naming_parameter(self, small_params, tmp_path,
+                                                 name, index, value, count):
+        import json
+        path = tmp_path / "enc.json"
+        save_checkpoint(small_params, path)
+        doc = json.loads(path.read_text())
+        values = doc["params"][name]["values"]
+        if value is None:
+            del values[index]
+        else:
+            values[index] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"'{name}' must hold {count} finite numbers"):
             load_checkpoint(path)
 
     def test_rejects_missing_parameter(self, small_params, tmp_path):

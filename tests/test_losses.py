@@ -78,11 +78,19 @@ class TestTripletStructure:
 
     def test_matches_brute_force_oracle(self):
         labels = ["a", "a", "a", "b", "b", "c", "c", "c"]
+
+        def unit(u, v):
+            # d|u - v| / du; zero where the two rows coincide
+            d = np.linalg.norm(u - v)
+            return (u - v) / d if d > 1e-12 else np.zeros_like(u)
+
         for seed in range(20):
             rng = make_rng(seed)
             emb = rng.standard_normal((8, 5))
-            loss, _ = triplet_loss(emb, labels, margin=0.5)
-            total, acc = 0, 0.0
+            if seed % 2:
+                emb[1] = emb[0]   # a zero-distance positive pair
+            loss, grads = triplet_loss(emb, labels, margin=0.5)
+            total, acc, grad = 0, 0.0, np.zeros_like(emb)
             for a in range(8):
                 for p in range(8):
                     for q in range(8):
@@ -93,7 +101,11 @@ class TestTripletStructure:
                              - np.linalg.norm(emb[a] - emb[q]) + 0.5)
                         if h > 0:
                             acc += h
+                            grad[a] += unit(emb[a], emb[p]) - unit(emb[a], emb[q])
+                            grad[p] -= unit(emb[a], emb[p])
+                            grad[q] += unit(emb[a], emb[q])
             assert loss == pytest.approx(acc / total, abs=1e-12)
+            assert np.allclose(grads, grad / total, rtol=0.0, atol=1e-12), f"seed {seed}"
 
     def test_loss_nonnegative_and_zero_for_separated_clusters(self):
         rng = make_rng(1)

@@ -9,11 +9,9 @@ from gaitadapt.numerics import (
     DegenerateInputError,
     cosine_similarity,
     make_rng,
-    pairwise_similarity,
     seed_stream,
 )
 
-from conftest import random_unit_rows
 
 finite_vec = st.lists(
     st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
@@ -73,39 +71,3 @@ class TestCosine:
         c = cosine_similarity(a, b)
         assert abs(c - cosine_similarity(b, a)) < 1e-12
         assert -1.0 - 1e-12 <= c <= 1.0 + 1e-12
-
-
-class TestPairwiseSimilarity:
-    def test_matches_cosine_loop(self):
-        rng = make_rng(3)
-        rows = random_unit_rows(rng, 5, 6)
-        cols = random_unit_rows(rng, 4, 6)
-        got = pairwise_similarity(rows, cols)
-        for i in range(5):
-            for j in range(4):
-                assert abs(got[i, j] - cosine_similarity(rows[i], cols[j])) < 1e-12
-
-    def test_self_similarity_symmetric(self):
-        rng = make_rng(4)
-        rows = random_unit_rows(rng, 7, 8)
-        s = pairwise_similarity(rows, rows)
-        assert np.array_equal(s, s.T)
-        assert np.allclose(np.diag(s), 1.0, atol=1e-12)
-
-    def test_orthonormal_basis_gives_identity(self):
-        s = pairwise_similarity(np.eye(5), np.eye(5))
-        assert np.allclose(s, np.eye(5), atol=1e-12)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="unit-normalized"):
-            pairwise_similarity(np.array([[2.0, 0.0]]), np.eye(2))
-
-    def test_rejects_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            pairwise_similarity(np.eye(3), np.eye(4))
-
-    def test_deterministic(self):
-        rng = make_rng(5)
-        rows = random_unit_rows(rng, 9, 6)
-        assert np.array_equal(pairwise_similarity(rows, rows),
-                              pairwise_similarity(rows.copy(), rows.copy()))
