@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import logging
 import os
 import shutil
 import sys
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -27,10 +31,11 @@ from .config import (
     save_config,
 )
 from .data import DatasetError, generate_domain, load_dataset
-from .encoder import encode_sequences, load_checkpoint, save_checkpoint
+from .discovery import dump_round_diagnostics
+from .encoder import EncoderParams, encode_sequences, load_checkpoint, save_checkpoint
 from .evaluation import ProtocolError, make_protocol, rank1
 from .files import write_json
-from .pipeline import adapt_target, dump_round_files, pretrain_source
+from .pipeline import RoundState, RunLog, adapt_target, pretrain_source
 
 log = logging.getLogger("gaitadapt")
 
@@ -43,126 +48,105 @@ class CliError(Exception):
         self.code = code
 
 
-class RunContext:
-    """Tracks a verb's output files; quarantines them under failed/ on error."""
+@dataclass
+class Run:
+    """A verb's output directory, its resolved config, and the outputs
+    registered for quarantine."""
 
-    def __init__(self, out: str | Path, verb: str, force: bool):
-        self.out = Path(out)
-        self.verb = verb
-        self.created: list[Path] = []
-        marker = self.out / COMPLETE_MARKER
-        if marker.exists() and not force:
-            raise CliError(
-                "E_OVERWRITE",
-                f"{self.out} already holds a completed run; pass --force to overwrite",
-            )
-        self.out.mkdir(parents=True, exist_ok=True)
-        if marker.exists():
-            marker.unlink()
+    out: Path
+    cfg: ExperimentConfig
+    created: list[Path] = field(default_factory=list)
 
     def path(self, name: str) -> Path:
         p = self.out / name
         self.created.append(p)
         return p
 
-    def finish(self) -> None:
-        (self.out / COMPLETE_MARKER).write_text(self.verb + "\n")
 
-    def quarantine(self) -> None:
-        failed = self.out / "failed"
-        failed.mkdir(parents=True, exist_ok=True)
-        for p in self.created:
+@contextmanager
+def run_scope(args, verb: str, args_doc: dict) -> Iterator[Run]:
+    """Resolve the config, claim args.out, and write the config and argument
+    snapshots. On any exception every registered output moves to failed/;
+    on success the run_complete marker is written.
+    """
+    cfg = load_config(args.config) if args.config else preset_config(args.preset)
+    cfg = apply_overrides(cfg, seed=args.seed, strategy=args.strategy).check_batches()
+    out = Path(args.out)
+    marker = out / COMPLETE_MARKER
+    if marker.exists() and not args.force:
+        raise CliError(
+            "E_OVERWRITE",
+            f"{out} already holds a completed run; pass --force to overwrite",
+        )
+    out.mkdir(parents=True, exist_ok=True)
+    marker.unlink(missing_ok=True)
+    run = Run(out, cfg)
+    try:
+        save_config(cfg, run.path("resolved_config.json"))
+        write_json(run.path("run_args.json"), {"verb": verb, "args": args_doc})
+        yield run
+    except Exception:
+        failed = out / "failed"
+        failed.mkdir(exist_ok=True)
+        for p in run.created:
             if p.exists():
                 target = failed / p.name
-                if target.exists():
-                    if target.is_dir():
-                        shutil.rmtree(target)
-                    else:
-                        target.unlink()
+                if target.is_dir():
+                    shutil.rmtree(target)
+                elif target.exists():
+                    target.unlink()
                 shutil.move(str(p), str(target))
+        raise
+    marker.write_text(verb + "\n")
 
 
-def _resolve_config(args) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-    else:
-        cfg = preset_config(getattr(args, "preset", None) or "desk")
-    cfg = apply_overrides(
-        cfg,
-        seed=getattr(args, "seed", None),
-        strategy=getattr(args, "strategy", None),
-    )
-    return cfg.check_batches()
-
-
-def _write_snapshot(ctx: RunContext, cfg: ExperimentConfig, args_doc: dict) -> None:
-    save_config(cfg, ctx.path("resolved_config.json"))
-    write_json(ctx.path("run_args.json"), {"verb": ctx.verb, "args": args_doc})
+def write_stage(path: Callable[[str], Path], params: EncoderParams, runlog: RunLog,
+                rounds: Iterable[RoundState] = ()) -> Path:
+    """Write a training stage: checkpoint.json, runlog.csv, timing.txt and one
+    discovery_round<r>.csv per adaptation round. path(name) gives each
+    file's destination; Run.path registers it before it is written. Returns
+    the checkpoint path.
+    """
+    checkpoint = path("checkpoint.json")
+    checkpoint.parent.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(params, checkpoint)
+    runlog.to_csv(path("runlog.csv"))
+    runlog.write_timing(path("timing.txt"))
+    for state in rounds:
+        dump_round_diagnostics(path(f"discovery_round{state.round_index}.csv"), state.bank,
+                               state.entropies, state.selected, state.neighbors)
+    return checkpoint
 
 
 def cmd_gen_data(args) -> None:
-    cfg = _resolve_config(args)
-    ctx = RunContext(args.out, "gen-data", args.force)
-    try:
-        _write_snapshot(ctx, cfg, {"out": str(args.out)})
-        generate_domain(cfg.source, ctx.path("source"), "source", cfg.train.seed)
-        generate_domain(cfg.target, ctx.path("target"), "target", cfg.train.seed)
-    except Exception:
-        ctx.quarantine()
-        raise
-    ctx.finish()
+    with run_scope(args, "gen-data", {"out": str(args.out)}) as run:
+        seed = run.cfg.train.seed
+        generate_domain(run.cfg.source, run.path("source"), "source", seed)
+        generate_domain(run.cfg.target, run.path("target"), "target", seed)
     log.info("wrote source and target datasets under %s", args.out)
 
 
 def cmd_pretrain(args) -> None:
-    cfg = _resolve_config(args)
-    ctx = RunContext(args.out, "pretrain", args.force)
-    try:
-        _write_snapshot(ctx, cfg, {"out": str(args.out), "data": str(args.data)})
+    with run_scope(args, "pretrain", {"out": str(args.out), "data": str(args.data)}) as run:
         train = load_dataset(args.data, split="train").sequences
-        if not train:
-            raise DatasetError(f"{args.data} has no train split")
-        params, runlog = pretrain_source(train, cfg.encoder, cfg.train)
-        save_checkpoint(params, ctx.path("checkpoint.json"))
-        runlog.to_csv(ctx.path("runlog.csv"))
-        runlog.write_timing(ctx.path("timing.txt"))
-    except Exception:
-        ctx.quarantine()
-        raise
-    ctx.finish()
+        write_stage(run.path, *pretrain_source(train, run.cfg.encoder, run.cfg.train))
     log.info("pretraining done: %s", args.out)
 
 
 def cmd_adapt(args) -> None:
-    cfg = _resolve_config(args)
-    ctx = RunContext(args.out, "adapt", args.force)
-    try:
-        _write_snapshot(ctx, cfg, {
-            "out": str(args.out), "data": str(args.data),
-            "checkpoint": str(args.checkpoint),
-        })
+    with run_scope(args, "adapt", {
+        "out": str(args.out), "data": str(args.data),
+        "checkpoint": str(args.checkpoint),
+    }) as run:
         train = load_dataset(args.data, split="train").sequences
-        if not train:
-            raise DatasetError(f"{args.data} has no train split")
         params = load_checkpoint(args.checkpoint)
-        adapted, runlog, rounds = adapt_target(train, params, cfg.train)
-        save_checkpoint(adapted, ctx.path("checkpoint.json"))
-        runlog.to_csv(ctx.path("runlog.csv"))
-        runlog.write_timing(ctx.path("timing.txt"))
-        for p in dump_round_files(ctx.out, rounds):
-            ctx.created.append(p)
-    except Exception:
-        ctx.quarantine()
-        raise
-    ctx.finish()
+        write_stage(run.path, *adapt_target(train, params, run.cfg.train))
     log.info("adaptation done: %s", args.out)
 
 
 def _evaluate_checkpoint(checkpoint_path, data_root, convention, gallery_size) -> dict:
     params = load_checkpoint(checkpoint_path)
     test = load_dataset(data_root, split="test").sequences
-    if not test:
-        raise DatasetError(f"{data_root} has no test split")
     embeddings = dict(zip([s.sample_id for s in test], encode_sequences(test, params)))
     protocol = make_protocol(test, convention=convention, gallery_size=gallery_size)
     plain = rank1(embeddings, protocol.with_exclusion(False))
@@ -182,22 +166,15 @@ def _evaluate_checkpoint(checkpoint_path, data_root, convention, gallery_size) -
 
 
 def cmd_eval(args) -> None:
-    cfg = _resolve_config(args)
-    ctx = RunContext(args.out, "eval", args.force)
-    try:
-        _write_snapshot(ctx, cfg, {
-            "out": str(args.out), "data": str(args.data),
-            "checkpoint": str(args.checkpoint), "convention": args.convention,
-            "gallery_size": args.gallery_size,
-        })
+    with run_scope(args, "eval", {
+        "out": str(args.out), "data": str(args.data),
+        "checkpoint": str(args.checkpoint), "convention": args.convention,
+        "gallery_size": args.gallery_size,
+    }) as run:
         summary = _evaluate_checkpoint(
             args.checkpoint, args.data, args.convention, args.gallery_size,
         )
-        write_json(ctx.path("results.json"), summary)
-    except Exception:
-        ctx.quarantine()
-        raise
-    ctx.finish()
+        write_json(run.path("results.json"), summary)
     log.info("evaluation done: rank1 = %.4f", summary["rank1"])
 
 
@@ -210,10 +187,10 @@ def run_ablation(cfg: ExperimentConfig, out: Path, seeds: list[int],
 
     Data generation, pretraining, adaptation, and evaluation all derive
     from the per-seed experiment seed; pretraining is shared across the
-    strategies within a seed.
+    strategies within a seed. Seed N writes the gen-data datasets under
+    seedN/data/ and each training stage's files (see write_stage) under
+    seedN/pretrain/ and seedN/adapt_<strategy>/.
     """
-    import dataclasses
-
     results: dict[str, dict[int, dict]] = {m: {} for m in ABLATE_METHODS}
     for seed in seeds:
         seed_cfg = dataclasses.replace(cfg.train, seed=seed)
@@ -227,20 +204,14 @@ def run_ablation(cfg: ExperimentConfig, out: Path, seeds: list[int],
         source = load_dataset(src_root, split="train").sequences
         target = load_dataset(tgt_root, split="train").sequences
         params, runlog = pretrain_source(source, cfg.encoder, seed_cfg)
-        pre_ckpt = seed_dir / "pretrained.json"
-        save_checkpoint(params, pre_ckpt)
-        runlog.to_csv(seed_dir / "pretrain_runlog.csv")
-
+        ck = write_stage((seed_dir / "pretrain").joinpath, params, runlog)
         results["direct"][seed] = _evaluate_checkpoint(
-            pre_ckpt, tgt_root, convention, gallery_size)
+            ck, tgt_root, convention, gallery_size)
         for strategy in ("high", "low", "random"):
             log.info("  strategy %s", strategy)
             strat_cfg = dataclasses.replace(seed_cfg, strategy=strategy)
-            adapted, alog, rounds = adapt_target(target, params, strat_cfg)
-            ck = seed_dir / f"adapted_{strategy}.json"
-            save_checkpoint(adapted, ck)
-            alog.to_csv(seed_dir / f"adapt_{strategy}_runlog.csv")
-            dump_round_files(seed_dir / f"discovery_{strategy}", rounds)
+            ck = write_stage((seed_dir / f"adapt_{strategy}").joinpath,
+                             *adapt_target(target, params, strat_cfg))
             results[strategy][seed] = _evaluate_checkpoint(
                 ck, tgt_root, convention, gallery_size)
     return results
@@ -291,22 +262,16 @@ def write_ablation_tables(results: dict, out: Path, seeds: list[int]) -> None:
 
 
 def cmd_ablate(args) -> None:
-    cfg = _resolve_config(args)
-    ctx = RunContext(args.out, "ablate", args.force)
-    try:
-        seeds = [int(s) for s in str(args.seeds).split(",") if s.strip()]
-        if not seeds:
-            raise CliError("E_CONFIG", f"no seeds in {args.seeds!r}")
-        _write_snapshot(ctx, cfg, {"out": str(args.out), "seeds": seeds})
+    seeds = [int(s) for s in str(args.seeds).split(",") if s.strip()]
+    if not seeds:
+        raise CliError("E_CONFIG", f"no seeds in {args.seeds!r}")
+    with run_scope(args, "ablate", {"out": str(args.out), "seeds": seeds}) as run:
+        # a seed directory is registered whole before anything under it is written
         for name in [f"seed{seed}" for seed in seeds] + ["details.csv", "comparison.csv"]:
-            ctx.path(name)
-        results = run_ablation(cfg, ctx.out, seeds)
-        write_ablation_tables(results, ctx.out, seeds)
-    except Exception:
-        ctx.quarantine()
-        raise
-    ctx.finish()
-    log.info("ablation done: %s", ctx.out / "comparison.csv")
+            run.path(name)
+        results = run_ablation(run.cfg, run.out, seeds)
+        write_ablation_tables(results, run.out, seeds)
+    log.info("ablation done: %s", run.out / "comparison.csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, data=False, checkpoint=False):
         p.add_argument("--config", help="experiment config JSON")
-        p.add_argument("--preset", choices=["paper", "desk"],
+        p.add_argument("--preset", choices=["paper", "desk"], default="desk",
                        help="base preset when no --config is given (default desk)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, help="override the experiment seed")

@@ -349,13 +349,16 @@ def load_dataset(root: str | Path, split: str | None = None) -> Dataset:
     """Load the sequences listed in the manifest, validating binary pixels.
 
     Each sequence is one file, read and checked in one pass. With a split
-    name only that split's files are read; the manifest still lists every
-    record.
+    name only that split's files are read, and a split without records is
+    refused; the manifest still lists every record.
     """
     manifest = load_manifest(root)
+    records = manifest.records if split is None else manifest.split(split)
+    if split is not None and not records:
+        raise DatasetError(f"{root} has no {split} split")
     h, w = manifest.height, manifest.width
     sequences = []
-    for rec in manifest.records if split is None else manifest.split(split):
+    for rec in records:
         path = manifest.root / rec.path
         try:
             raw = read_pgm(path)

@@ -40,16 +40,15 @@ def make_protocol(
     test_seqs: list[SilhouetteSequence],
     convention: str = "first-n-gallery",
     gallery_size: int = 4,
-    first_to_gallery: bool = True,
-    exclude_identical_view: bool = False,
 ) -> EvalProtocol:
     """Deterministic gallery/probe assignment from a test split.
 
     first-n-gallery: per identity, the first `gallery_size` normal-condition
     sequences (by sample id) are the gallery, everything else is a probe.
     first-sequence-gallery: per identity, the first sequence is the gallery
-    and the rest are probes (direction flips with first_to_gallery=False).
-    Identities that cannot fill the convention are skipped and reported.
+    and the rest are probes. Identities that cannot fill the convention are
+    skipped and reported. The protocol keeps identical views; call
+    with_exclusion(True) for the variant that excludes them.
     """
     if convention not in CONVENTIONS:
         raise ProtocolError(f"unknown convention {convention!r}, expected {CONVENTIONS}")
@@ -74,8 +73,7 @@ def make_protocol(
             if len(group) < 2:
                 skipped.append(ident)
                 continue
-            first = {group[0].sample_id}
-            chosen = first if first_to_gallery else {s.sample_id for s in group[1:]}
+            chosen = {group[0].sample_id}
         for s in group:
             (gallery if s.sample_id in chosen else probes).append(s.sample_id)
 
@@ -85,7 +83,7 @@ def make_protocol(
     return EvalProtocol(
         gallery_ids=tuple(gallery),
         probe_ids=tuple(probes),
-        exclude_identical_view=exclude_identical_view,
+        exclude_identical_view=False,
         identity=identity,
         view=view,
         condition=condition,

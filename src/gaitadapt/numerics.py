@@ -34,15 +34,3 @@ def seed_stream(seed: int, *path: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(path))
     return np.random.Generator(np.random.PCG64(ss))
 
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between a and b, in [-1, 1] up to roundoff."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na <= NORM_EPS or nb <= NORM_EPS:
-        raise DegenerateInputError(f"cosine undefined for norms ({na!r}, {nb!r})")
-    return float(np.dot(a, b) / (na * nb))

@@ -21,7 +21,6 @@ from .discovery import (
     MemoryBank,
     build_bank,
     curriculum_order,
-    dump_round_diagnostics,
     scan_bank,
     update_bank,
 )
@@ -302,15 +301,3 @@ def adapt_target(
         rounds.append(RoundState(r, bank, neighbors, h, selected))
     return params, log, rounds
 
-
-def dump_round_files(out_dir: str | Path, rounds: list[RoundState]) -> list[Path]:
-    """Per-round discovery diagnostics as CSV files."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for state in rounds:
-        path = out_dir / f"discovery_round{state.round_index}.csv"
-        dump_round_diagnostics(path, state.bank, state.entropies, state.selected,
-                               state.neighbors)
-        written.append(path)
-    return written

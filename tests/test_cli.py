@@ -11,9 +11,16 @@ import pytest
 import gaitadapt
 from gaitadapt.cli import build_parser, main
 from gaitadapt.config import ExperimentConfig, load_config, save_config
+from gaitadapt.data import load_dataset
 from gaitadapt.pipeline import desk_preset
 
 from conftest import PIPE_SHAPE, tiny_domain_spec
+
+
+# what every verb writes, and what a training stage adds to it (2 rounds)
+RUN_FILES = {"resolved_config.json", "run_args.json", "run_complete"}
+ADAPT_FILES = {"checkpoint.json", "runlog.csv", "timing.txt",
+               "discovery_round1.csv", "discovery_round2.csv"}
 
 
 def _tiny_config(**train_overrides):
@@ -177,11 +184,26 @@ class TestAdapt:
                    "--data", str(data_dir / "target"),
                    "--checkpoint", str(pretrain_dir / "checkpoint.json")])
         assert rc == 0
+        assert {p.name for p in out.iterdir()} == RUN_FILES | ADAPT_FILES
         lines = (out / "runlog.csv").read_text().splitlines()
         assert len(lines) == 3  # header + 2 rounds x 1 epoch
-        assert (out / "discovery_round1.csv").exists()
-        assert (out / "discovery_round2.csv").exists()
-        assert (out / "run_complete").exists()
+        n = len(load_dataset(data_dir / "target", split="train").sequences)
+        for r in (1, 2):
+            rows = (out / f"discovery_round{r}.csv").read_text().splitlines()
+            assert rows[0] == "sample_id,entropy,selected,neighbor_ids"
+            assert len(rows) == 1 + n
+
+    def test_failed_round_file_quarantines_earlier_rounds(self, cfg_file, data_dir,
+                                                          pretrain_dir, tmp_path, capsys):
+        out = tmp_path / "ad"
+        (out / "discovery_round2.csv").mkdir(parents=True)  # round 1 writes, round 2 fails
+        rc = main(["adapt", "--config", str(cfg_file), "--out", str(out),
+                   "--data", str(data_dir / "target"),
+                   "--checkpoint", str(pretrain_dir / "checkpoint.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("ERROR E_IO:")
+        assert not (out / "discovery_round1.csv").exists()
+        assert (out / "failed" / "discovery_round1.csv").is_file()
 
     def test_zero_epochs_returns_the_input_checkpoint(self, data_dir, pretrain_dir,
                                                       tmp_path):
@@ -274,7 +296,7 @@ class TestEval:
 
 
 class TestAblate:
-    def test_tables_and_artifacts(self, cfg_file, tmp_path):
+    def test_tables_and_artifacts(self, cfg_file, pretrain_dir, tmp_path):
         out = tmp_path / "ab"
         rc = main(["ablate", "--config", str(cfg_file), "--out", str(out),
                    "--seeds", "1,2"])
@@ -301,9 +323,13 @@ class TestAblate:
                 np.mean(vals), abs=1e-12)
             assert float(comp[method]["rank1_spread"]) == pytest.approx(
                 np.std(vals), abs=1e-12)
+        # each stage directory holds the training files its verb writes
+        pretrain_files = {p.name for p in pretrain_dir.iterdir()} - RUN_FILES
         for seed in (1, 2):
-            assert (out / f"seed{seed}" / "pretrained.json").exists()
-            assert (out / f"seed{seed}" / "adapted_high.json").exists()
+            seed_dir = out / f"seed{seed}"
+            assert {p.name for p in (seed_dir / "pretrain").iterdir()} == pretrain_files
+            assert {p.name for p in (seed_dir / "adapt_high").iterdir()} == ADAPT_FILES
+            assert {p.name for p in (seed_dir / "data").iterdir()} == {"source", "target"}
 
     def test_failed_table_write_quarantines_both_tables(self, cfg_file, tmp_path,
                                                          capsys):
@@ -396,25 +422,35 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_document_gets_its_error_code(case, cfg_file, data_dir, pretrain_dir,
-                                                tmp_path, capsys):
-    artifact, mutate, code = MALFORMED[case]
+def _eval_documents(tmp_path, cfg_file, data_dir, pretrain_dir, artifact=None, mutate=None):
+    """Run eval on copies of the config, the checkpoint and the whole target
+    dataset, with the named artifact's document passed through mutate."""
+    shutil.copytree(data_dir / "target", tmp_path / "target")
     docs = {
         "config": (cfg_file, tmp_path / "cfg.json"),
         "checkpoint": (pretrain_dir / "checkpoint.json", tmp_path / "checkpoint.json"),
         "manifest": (data_dir / "target" / "manifest.json",
                      tmp_path / "target" / "manifest.json"),
     }
-    (tmp_path / "target").mkdir()
     for name, (good, path) in docs.items():
         text = good.read_text()
         path.write_text(mutate(text) if name == artifact else text)
-    rc = main(["eval", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "ev"),
-               "--data", str(tmp_path / "target"),
-               "--checkpoint", str(tmp_path / "checkpoint.json")])
-    assert rc == 1
+    return main(["eval", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "ev"),
+                 "--data", str(tmp_path / "target"),
+                 "--checkpoint", str(tmp_path / "checkpoint.json")])
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_gets_its_error_code(case, cfg_file, data_dir, pretrain_dir,
+                                                tmp_path, capsys):
+    artifact, mutate, code = MALFORMED[case]
+    assert _eval_documents(tmp_path, cfg_file, data_dir, pretrain_dir, artifact, mutate) == 1
     assert capsys.readouterr().err.startswith(f"ERROR {code}:")
+
+
+def test_unmodified_documents_evaluate(cfg_file, data_dir, pretrain_dir, tmp_path):
+    # the control for the cases above: only the mutation makes them fail
+    assert _eval_documents(tmp_path, cfg_file, data_dir, pretrain_dir) == 0
 
 
 def test_every_json_artifact_is_canonical(cfg_file, data_dir, pretrain_dir, tmp_path):

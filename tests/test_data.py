@@ -336,6 +336,16 @@ class TestLoadErrors:
         with pytest.raises(DatasetError, match="missing sequence file"):
             load_dataset(root, split="test")
 
+    def test_split_without_records_is_refused(self, tmp_path):
+        root = self._micro(tmp_path)
+        doc = json.loads((root / "manifest.json").read_text())
+        for r in doc["records"]:
+            r["split"] = "test"
+        (root / "manifest.json").write_text(json.dumps(doc))
+        assert len(load_dataset(root, split="test").sequences) == 1
+        with pytest.raises(DatasetError, match="has no train split"):
+            load_dataset(root, split="train")
+
     def test_wrong_frame_shape_names_sample(self, tmp_path):
         root = self._micro(tmp_path)
         target = self._sequence_file(root)

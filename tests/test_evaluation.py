@@ -43,12 +43,6 @@ class TestMakeProtocol:
             "A-nm-02-090", "A-nm-03-000", "B-nm-02-090"}
         assert proto.skipped_identities == ("C",)  # nothing left to probe
 
-    def test_first_sequence_direction_flips(self):
-        seqs = _group("A", 3)
-        proto = make_protocol(seqs, "first-sequence-gallery", first_to_gallery=False)
-        assert set(proto.gallery_ids) == {"A-nm-02-090", "A-nm-03-000"}
-        assert proto.probe_ids == ("A-nm-01-000",)
-
     def test_unknown_convention_rejected(self):
         with pytest.raises(ProtocolError, match="convention"):
             make_protocol(_group("A", 4), "best-n-gallery")
@@ -166,8 +160,8 @@ class TestRank1:
                                n_bg=int(rng.integers(0, 3)),
                                views=("000", "045", "090"))
             convention = ("first-n-gallery", "first-sequence-gallery")[trial % 2]
-            proto = make_protocol(seqs, convention, gallery_size=2,
-                                  exclude_identical_view=bool(trial % 4 // 2))
+            proto = make_protocol(seqs, convention, gallery_size=2).with_exclusion(
+                bool(trial % 4 // 2))
             emb = {s.sample_id: rng.standard_normal(5) for s in seqs}
 
             correct = evaluated = 0

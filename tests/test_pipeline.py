@@ -12,7 +12,6 @@ from gaitadapt.pipeline import (
     TrainConfig,
     adapt_target,
     desk_preset,
-    dump_round_files,
     lr_at,
     paper_preset,
     pretrain_source,
@@ -282,17 +281,3 @@ class TestRunLog:
         log.write_timing(tmp_path / "timing.txt")
         assert (tmp_path / "timing.txt").read_text() == "total_seconds: 2.000\n"
 
-
-class TestRoundFiles:
-    def test_writes_one_csv_per_round(self, target_train, tmp_path, source_train):
-        params, _ = pretrain_source(source_train, PIPE_SHAPE,
-                                    _small_cfg(pretrain_epochs=2))
-        _, _, rounds = adapt_target(target_train, params, _small_cfg())
-        written = dump_round_files(tmp_path / "rounds", rounds)
-        assert [p.name for p in written] == [
-            "discovery_round1.csv", "discovery_round2.csv"]
-        for p in written:
-            with open(p, newline="") as fh:
-                rows = list(csv.reader(fh))
-            assert rows[0] == ["sample_id", "entropy", "selected", "neighbor_ids"]
-            assert len(rows) == 1 + len(target_train)
