@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from gaitadapt.cli import write_stage
 from gaitadapt.data import load_dataset
 from gaitadapt.discovery import build_bank
 from gaitadapt.encoder import init_params
@@ -281,3 +282,24 @@ class TestRunLog:
         log.write_timing(tmp_path / "timing.txt")
         assert (tmp_path / "timing.txt").read_text() == "total_seconds: 2.000\n"
 
+
+class TestRoundFiles:
+    def test_writes_one_csv_per_round(self, target_train, tmp_path, source_train):
+        params, _ = pretrain_source(source_train, PIPE_SHAPE,
+                                    _small_cfg(pretrain_epochs=2))
+        adapted, runlog, rounds = adapt_target(target_train, params, _small_cfg())
+        written = []
+
+        def path(name):
+            written.append(tmp_path / "rounds" / name)
+            return written[-1]
+
+        write_stage(path, adapted, runlog, rounds)
+        round_files = [p for p in written if p.name.startswith("discovery_round")]
+        assert [p.name for p in round_files] == [
+            "discovery_round1.csv", "discovery_round2.csv"]
+        for p in round_files:
+            with open(p, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["sample_id", "entropy", "selected", "neighbor_ids"]
+            assert len(rows) == 1 + len(target_train)
