@@ -261,10 +261,22 @@ def write_ablation_tables(results: dict, out: Path, seeds: list[int]) -> None:
             w.writerow(row)
 
 
-def cmd_ablate(args) -> None:
-    seeds = [int(s) for s in str(args.seeds).split(",") if s.strip()]
+def _parse_seeds(text: str) -> list[int]:
+    """The comma-separated seed list of --seeds: integers, each once."""
+    try:
+        seeds = [int(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise CliError("E_CONFIG", f"--seeds {text!r}: every entry must be an integer") from None
     if not seeds:
-        raise CliError("E_CONFIG", f"no seeds in {args.seeds!r}")
+        raise CliError("E_CONFIG", f"--seeds {text!r}: no seeds")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise CliError("E_CONFIG", f"--seeds {text!r}: seed {repeated[0]} is repeated")
+    return seeds
+
+
+def cmd_ablate(args) -> None:
+    seeds = _parse_seeds(str(args.seeds))
     with run_scope(args, "ablate", {"out": str(args.out), "seeds": seeds}) as run:
         # a seed directory is registered whole before anything under it is written
         for name in [f"seed{seed}" for seed in seeds] + ["details.csv", "comparison.csv"]:

@@ -3,30 +3,36 @@
 Each identity is a latent body shape; each frame renders a parametric
 walker (torso ellipse plus two swinging leg segments) at a gait phase,
 projected for the camera view, with per-domain style transforms (scale,
-shear, dilation or erosion, speckle noise) applied afterwards. A whole
-walk is rendered, written, read and validated as one unit: each sequence
-is one binary P5 PGM file, root/split/identity/cond-run/view.pgm, whose
-K frames of H x W are stacked top to bottom into a (K*H) x W image. A JSON
-manifest at the root (format_version 2) lists every sequence with its
-frame count and file.
+shear, dilation or erosion, speckle noise) applied afterwards. A walk is
+rendered as one (K, H, W) array. Each split of a domain is stored as one
+binary P5 PGM file, root/<split>.pgm, holding the split's sequences in
+manifest order with every frame of H x W stacked top to bottom. A JSON
+manifest at the root (format_version 3) lists every sequence with its split
+and frame count; a sequence's frames start at the sum of the frame counts
+of the records before it in its split. A split is written, read and
+validated as one unit.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
 from .encoder import SilhouetteSequence
-from .files import read_json, write_json
+from .files import read_json, replacing, write_json
 from .numerics import seed_stream
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_VERSION = 2  # version 1 stored one file per frame
+MANIFEST_VERSION = 3  # version 1 stored one file per frame, version 2 one per sequence
 CONDITIONS = ("NM", "BG", "CL")
+SPLITS = ("train", "test")
 
 # role constants for deterministic rng streams
 _ROLE_LATENT = 1
@@ -94,7 +100,6 @@ class SequenceRecord:
     view: str
     split: str
     frame_count: int
-    path: str  # the sequence's PGM file, relative to the dataset root
 
 
 @dataclass
@@ -234,12 +239,15 @@ def _render_sequence(
 # ---------------------------------------------------------------------------
 # PGM files
 
+def _pgm_header(width: int, height: int) -> bytes:
+    return f"P5\n{width} {height}\n255\n".encode("ascii")
+
+
 def write_pgm(path: str | Path, frame01: np.ndarray) -> None:
     """Binary P5 PGM with values in {0, 255}."""
     frame01 = np.asarray(frame01, dtype=np.uint8)
-    h, w = frame01.shape
-    header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + (frame01 * 255).tobytes())
+    Path(path).write_bytes(_pgm_header(frame01.shape[1], frame01.shape[0])
+                           + (frame01 * 255).tobytes())
 
 
 # magic, width, height and maxval, separated by whitespace or '#' comment
@@ -270,24 +278,10 @@ def read_pgm(path: str | Path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # generation / loading
 
-def generate_domain(
-    spec: DomainSpec,
-    root: str | Path,
-    domain: str,
-    seed: int,
-) -> DatasetManifest:
-    """Write a full domain (train and test splits) under root; returns the manifest.
-
-    Identical (spec, seed) produce byte-identical trees. The manifest is
-    written only after every sequence file has been written.
-    """
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    records: list[SequenceRecord] = []
-
-    total_ids = spec.identities + spec.test_identities
-    for gid in range(total_ids):
-        split = "train" if gid < spec.identities else "test"
+def _render_walks(spec: DomainSpec, seed: int, split: str,
+                  gids: range) -> Iterator[tuple[SequenceRecord, np.ndarray]]:
+    """Each walk of the given identities, in manifest order, with its (K, H, W) frames."""
+    for gid in gids:
         identity = f"{spec.id_prefix}{gid + 1:03d}"
         latent_rng = seed_stream(seed, _ROLE_LATENT, gid)
         latent = _draw_latent(latent_rng)
@@ -296,24 +290,50 @@ def generate_domain(
         for condition in CONDITIONS:
             for run in range(1, spec.walks.get(condition, 0) + 1):
                 walk = f"{condition.lower()}-{run:02d}"
-                walk_dir = Path(split) / identity / walk
-                (root / walk_dir).mkdir(parents=True, exist_ok=True)
                 for view in spec.views:
                     rng = seed_stream(seed, _ROLE_SEQUENCE, gid, seq_counter)
                     seq_counter += 1
                     walk_latent = _perturb_latent(latent, jitter, rng)
                     frames = _render_sequence(walk_latent, condition, view, spec, rng)
-                    rel = walk_dir / f"{view}.pgm"
-                    write_pgm(root / rel, frames.reshape(-1, spec.width))
-                    records.append(SequenceRecord(
+                    yield SequenceRecord(
                         sample_id=f"{identity}-{walk}-{view}",
                         identity=identity,
                         condition=condition,
                         view=view,
                         split=split,
                         frame_count=spec.frames,
-                        path=str(rel),
-                    ))
+                    ), frames
+
+
+def generate_domain(
+    spec: DomainSpec,
+    root: str | Path,
+    domain: str,
+    seed: int,
+) -> DatasetManifest:
+    """Write a full domain (train and test splits) under root; returns the manifest.
+
+    Identical (spec, seed) produce byte-identical trees. An existing
+    manifest is deleted first, each split file is streamed walk by walk into
+    a temporary file and renamed into place, and the manifest is written
+    last, so a generation that fails partway leaves no loadable dataset.
+    """
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    (root / MANIFEST_NAME).unlink(missing_ok=True)
+    records: list[SequenceRecord] = []
+    n_train, n_all = spec.identities, spec.identities + spec.test_identities
+    for split, gids in (("train", range(n_train)), ("test", range(n_train, n_all))):
+        path = root / f"{split}.pgm"
+        rows = len(gids) * spec.sequences_per_identity * spec.frames * spec.height
+        if not rows:
+            path.unlink(missing_ok=True)
+            continue
+        with replacing(path) as tmp, open(tmp, "wb") as fh:
+            fh.write(_pgm_header(spec.width, rows))
+            for record, frames in _render_walks(spec, seed, split, gids):
+                fh.write(frames * np.uint8(255))
+                records.append(record)
 
     manifest = DatasetManifest(root, domain, spec.height, spec.width, records)
     write_json(root / MANIFEST_NAME, {
@@ -342,51 +362,74 @@ def load_manifest(root: str | Path) -> DatasetManifest:
     ids = [r.sample_id for r in records]
     if len(set(ids)) != len(ids):
         raise DatasetError("duplicate sample ids in manifest")
+    for r in records:
+        if r.split not in SPLITS or type(r.frame_count) is not int or r.frame_count < 1:
+            raise DatasetError(
+                f"{path}: sample {r.sample_id} has split {r.split!r} and frame_count"
+                f" {r.frame_count!r}; expected a split in {SPLITS} and at least one frame")
     return manifest
+
+
+def _read_split(manifest: DatasetManifest, split: str) -> list[SilhouetteSequence]:
+    """The split's sequences from its one file, in manifest order.
+
+    A failure of the whole file names a sample it affects: a missing or
+    unreadable file, a wrong width, and lost or extra rows name the split's
+    last sample. A non-binary pixel names its own sample and frame.
+    """
+    records = manifest.split(split)
+    h, w = manifest.height, manifest.width
+    path = manifest.root / f"{split}.pgm"
+    last = records[-1].sample_id
+    try:
+        raw = read_pgm(path)
+    except FileNotFoundError as e:
+        raise DatasetError(f"sample {last}: missing split file {path}") from e
+    except DatasetError as e:
+        raise DatasetError(f"sample {last}: {e}") from e
+    ends = list(accumulate(r.frame_count for r in records))
+    if raw.shape != (ends[-1] * h, w):
+        raise DatasetError(
+            f"sample {last}: split file {path} has shape {raw.shape},"
+            f" expected {ends[-1]} frames of {h}x{w}"
+        )
+    frames = (raw == 255).view(np.uint8).reshape(-1, h, w)  # 0/1
+    if np.count_nonzero(frames) != np.count_nonzero(raw):  # a pixel neither 0 nor 255
+        row, col = divmod(int(np.argmax((raw != 0) & (raw != 255))), w)
+        i = bisect_right(ends, row // h)
+        frame = row // h - (ends[i] - records[i].frame_count)
+        raise DatasetError(
+            f"sample {records[i].sample_id}: frame {frame} has non-binary pixel value"
+            f" {int(raw[row, col])}"
+        )
+    return [
+        SilhouetteSequence(
+            frames=frames[end - rec.frame_count:end],
+            sample_id=rec.sample_id,
+            identity=rec.identity,
+            condition=rec.condition,
+            view=rec.view,
+            domain=manifest.domain,
+        )
+        for rec, end in zip(records, ends)
+    ]
 
 
 def load_dataset(root: str | Path, split: str | None = None) -> Dataset:
     """Load the sequences listed in the manifest, validating binary pixels.
 
-    Each sequence is one file, read and checked in one pass. With a split
-    name only that split's files are read, and a split without records is
+    Each split is one file, read and checked in one pass. With a split
+    name only that split's file is read, and a split without records is
     refused; the manifest still lists every record.
     """
     manifest = load_manifest(root)
     records = manifest.records if split is None else manifest.split(split)
     if split is not None and not records:
         raise DatasetError(f"{root} has no {split} split")
-    h, w = manifest.height, manifest.width
-    sequences = []
-    for rec in records:
-        path = manifest.root / rec.path
-        try:
-            raw = read_pgm(path)
-        except FileNotFoundError as e:
-            raise DatasetError(f"sample {rec.sample_id}: missing sequence file {path}") from e
-        except DatasetError as e:
-            raise DatasetError(f"sample {rec.sample_id}: {e}") from e
-        if raw.shape != (rec.frame_count * h, w):
-            raise DatasetError(
-                f"sample {rec.sample_id}: sequence file has shape {raw.shape},"
-                f" expected {rec.frame_count} frames of {h}x{w}"
-            )
-        bad = (raw != 0) & (raw != 255)
-        if bad.any():
-            row, col = np.argwhere(bad)[0]
-            raise DatasetError(
-                f"sample {rec.sample_id}: frame {row // h} has non-binary pixel value"
-                f" {int(raw[row, col])}"
-            )
-        sequences.append(SilhouetteSequence(
-            frames=(raw & 1).reshape(rec.frame_count, h, w),
-            sample_id=rec.sample_id,
-            identity=rec.identity,
-            condition=rec.condition,
-            view=rec.view,
-            domain=manifest.domain,
-        ))
-    return Dataset(manifest, sequences)
+    by_id: dict[str, SilhouetteSequence] = {}
+    for name in dict.fromkeys(r.split for r in records):
+        by_id.update((s.sample_id, s) for s in _read_split(manifest, name))
+    return Dataset(manifest, [by_id[r.sample_id] for r in records])
 
 
 def sample_pk_batch(

@@ -1,30 +1,43 @@
-"""The JSON document layer: every artifact that later runs load (manifests,
+"""The file layer: every JSON artifact that later runs load (manifests,
 checkpoints, configs, run arguments, results) is written and read here.
+These and the dataset split files are written through replacing(), one
+temporary file renamed into place.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 
-def write_json(path: str | Path, doc: dict) -> None:
-    """Write doc as canonical JSON (sorted keys, one-space indent, final
-    newline) to a temporary file beside path, then rename it over path.
+@contextmanager
+def replacing(path: str | Path) -> Iterator[Path]:
+    """Yield a temporary path beside path; rename it over path when the
+    block ends normally, delete it when the block raises.
 
     A run killed or failing mid-write leaves either the previous file or
-    none at path, never a truncated one.
+    none at path, never a partial one.
     """
     path = Path(path)
-    text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: str | Path, doc: dict) -> None:
+    """Write doc as canonical JSON (sorted keys, one-space indent, final
+    newline) through replacing(path).
+    """
+    text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    with replacing(path) as tmp:
+        tmp.write_text(text)
 
 
 def read_json(path: str | Path, error: type[Exception]) -> dict:

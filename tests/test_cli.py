@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -92,6 +93,17 @@ class TestGenData:
         args_doc = json.loads((data_dir / "run_args.json").read_text())
         assert args_doc["verb"] == "gen-data"
 
+    def test_one_file_per_nonempty_split(self, tmp_path):
+        cfg = _tiny_config()
+        cfg = dataclasses.replace(cfg, target=dataclasses.replace(cfg.target, test_identities=0))
+        save_config(cfg, tmp_path / "cfg.json")
+        out = tmp_path / "g"
+        assert main(["gen-data", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 0
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+            "resolved_config.json", "run_args.json", "run_complete", "source",
+            "source/manifest.json", "source/test.pgm", "source/train.pgm", "target",
+            "target/manifest.json", "target/train.pgm"]
+
     def test_refuses_to_overwrite_without_force(self, data_dir, cfg_file, capsys):
         rc = main(["gen-data", "--config", str(cfg_file), "--out", str(data_dir)])
         assert rc == 1
@@ -163,7 +175,7 @@ class TestPretrain:
         broken = tmp_path / "broken_src"
         shutil.copytree(data_dir / "source", broken)
         # pretrain reads only the train split, so corrupt a sequence there
-        victim = next((broken / "train").rglob("*.pgm"))
+        victim = broken / "train.pgm"
         raw = bytearray(victim.read_bytes())
         raw[-1] = 7
         victim.write_bytes(bytes(raw))
@@ -256,7 +268,7 @@ class TestEval:
                                        tmp_path):
         data = tmp_path / "target"
         shutil.copytree(data_dir / "target", data)
-        next((data / "train").rglob("*.pgm")).unlink()
+        (data / "train.pgm").unlink()
         out = tmp_path / "ev3"
         rc = main(["eval", "--config", str(cfg_file), "--out", str(out),
                    "--data", str(data),
@@ -350,6 +362,15 @@ class TestAblate:
         assert rc == 1
         assert capsys.readouterr().err.startswith("ERROR E_CONFIG:")
 
+    @pytest.mark.parametrize("seeds", ["1,1", "1,x", "2, 1 ,2", "1.5"])
+    def test_bad_seed_list_rejected_before_out_is_claimed(self, cfg_file, tmp_path, capsys,
+                                                          seeds):
+        rc = main(["ablate", "--config", str(cfg_file), "--out",
+                   str(tmp_path / "o"), "--seeds", seeds])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("ERROR E_CONFIG: --seeds")
+        assert not (tmp_path / "o").exists()
+
 
 
 def _drop(key):
@@ -404,6 +425,7 @@ MALFORMED = {
     "manifest-unknown-record-key": ("manifest", _add_record_key, "E_DATA"),
     "manifest-list": ("manifest", _as_list, "E_DATA"),
     "manifest-version-1": ("manifest", _set_version(1), "E_DATA"),
+    "manifest-version-2": ("manifest", _set_version(2), "E_DATA"),
     "checkpoint-without-shape": ("checkpoint", _drop("shape"), "E_INVALID"),
     "checkpoint-without-params": ("checkpoint", _drop("params"), "E_INVALID"),
     "checkpoint-nan-value": ("checkpoint", _nan_parameter_value, "E_INVALID"),

@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from gaitadapt import data
 from gaitadapt.config import ExperimentConfig, load_config, preset_config, save_config
 from gaitadapt.data import (
     DatasetError,
@@ -76,11 +77,11 @@ class TestGeneration:
             ident, cond, run, view = r.sample_id.rsplit("-", 3)
             assert (ident, cond, view) == (r.identity, r.condition.lower(), r.view)
             assert run.isdigit() and len(run) == 2
-            assert r.path.endswith(f"{cond}-{run}/{view}.pgm")
-            # one file per sequence, its frames stacked top to bottom
-            assert read_pgm(tiny_source_dir / r.path).shape == (r.frame_count * 8, 8)
             assert r.frame_count == 4
-        assert len(list(tiny_source_dir.rglob("*.pgm"))) == 30
+        # one file per split, its sequences' frames stacked top to bottom
+        assert read_pgm(tiny_source_dir / "train.pgm").shape == (18 * 4 * 8, 8)
+        assert read_pgm(tiny_source_dir / "test.pgm").shape == (12 * 4 * 8, 8)
+        assert len(list(tiny_source_dir.rglob("*.pgm"))) == 2
 
     def test_sample_id_format(self, tiny_source_dir):
         m = load_manifest(tiny_source_dir)
@@ -96,6 +97,36 @@ class TestGeneration:
         a, b = _tree_bytes(tmp_path / "a"), _tree_bytes(tmp_path / "b")
         assert list(a) == list(b)
         assert all(a[k] == b[k] for k in a)
+
+    def test_regeneration_drops_a_split_that_became_empty(self, tmp_path):
+        root = tmp_path / "d"
+        generate_domain(tiny_domain_spec("D"), root, domain="source", seed=5)
+        generate_domain(tiny_domain_spec("D", test_identities=0), root, domain="source",
+                        seed=5)
+        assert sorted(p.name for p in root.iterdir()) == ["manifest.json", "train.pgm"]
+        assert len(load_dataset(root).sequences) == 18
+
+    @pytest.mark.parametrize("fail_at", [5, 20])
+    def test_interrupted_regeneration_leaves_no_loadable_mix(self, tmp_path, monkeypatch,
+                                                              fail_at):
+        # the tiny target renders 18 train walks, then 12 test walks; a
+        # regeneration at another seed fails at walk fail_at, in either split
+        spec = tiny_domain_spec("T")
+        root = tmp_path / "t"
+        generate_domain(spec, root, domain="target", seed=1)
+        real, calls = data._render_sequence, []
+
+        def render(*args):
+            calls.append(1)
+            if len(calls) == fail_at:
+                raise OSError("disk full")
+            return real(*args)
+        monkeypatch.setattr(data, "_render_sequence", render)
+        with pytest.raises(OSError, match="disk full"):
+            generate_domain(spec, root, domain="target", seed=2)
+        with pytest.raises(DatasetError, match="no manifest.json"):
+            load_dataset(root)
+        assert [p.name for p in root.iterdir() if p.suffix == ".tmp"] == []
 
     def test_seed_changes_the_data(self, tmp_path):
         spec = tiny_domain_spec("D")
@@ -254,6 +285,14 @@ class TestLoadErrors:
         (path,) = root.rglob("*.pgm")
         return path
 
+    def _pair(self, tmp_path):
+        # two 2-frame sequences of 8x8 in one train split file
+        spec = tiny_domain_spec("M", identities=1, test_identities=0,
+                                walks={"NM": 2}, views=("090",), frames=2)
+        root = tmp_path / "p"
+        generate_domain(spec, root, domain="t", seed=2)
+        return root
+
     def test_bad_manifest_version(self, tmp_path):
         root = self._micro(tmp_path)
         doc = json.loads((root / "manifest.json").read_text())
@@ -268,10 +307,32 @@ class TestLoadErrors:
         doc = json.loads((root / "manifest.json").read_text())
         doc["format_version"] = 1
         for r in doc["records"]:
-            r["path"] = r["path"].removesuffix(".pgm")
+            r["path"] = f"train/M001/nm-01/{r['view']}"
         (root / "manifest.json").write_text(json.dumps(doc))
-        with pytest.raises(DatasetError, match="format_version 1, expected 2"):
+        with pytest.raises(DatasetError, match="format_version 1, expected 3"):
             load_dataset(root)
+
+    def test_version_2_manifest_is_refused(self, tmp_path):
+        # version 2 named one file per sequence
+        root = self._micro(tmp_path)
+        doc = json.loads((root / "manifest.json").read_text())
+        doc["format_version"] = 2
+        for r in doc["records"]:
+            r["path"] = f"train/M001/nm-01/{r['view']}.pgm"
+        (root / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match="format_version 2, expected 3; regenerate"
+                                               " the data with gen-data"):
+            load_dataset(root)
+
+    @pytest.mark.parametrize("field, value", [("split", "valid"), ("frame_count", 0),
+                                              ("frame_count", 1.0)])
+    def test_record_split_and_frame_count_are_checked(self, tmp_path, field, value):
+        root = self._micro(tmp_path)
+        doc = json.loads((root / "manifest.json").read_text())
+        doc["records"][0][field] = value
+        (root / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match="M001-nm-01-090 has split"):
+            load_manifest(root)
 
     def test_duplicate_sample_ids(self, tmp_path):
         root = self._micro(tmp_path)
@@ -291,10 +352,35 @@ class TestLoadErrors:
                            match="M001-nm-01-090: frame 1 has non-binary pixel value 128"):
             load_dataset(root)
 
+    def test_corrupt_pixel_maps_to_its_sample_and_frame(self, tmp_path):
+        root = self._pair(tmp_path)
+        target = root / "train.pgm"
+        raw = bytearray(target.read_bytes())
+        # the last frame of the second sequence is the last 64 bytes
+        raw[-64 + 9] = 3
+        target.write_bytes(bytes(raw))
+        with pytest.raises(DatasetError,
+                           match="M001-nm-02-090: frame 1 has non-binary pixel value 3"):
+            load_dataset(root)
+        raw[-64 + 9], raw[-4 * 64] = 255, 9  # the first frame of the first sequence
+        target.write_bytes(bytes(raw))
+        with pytest.raises(DatasetError,
+                           match="M001-nm-01-090: frame 0 has non-binary pixel value 9"):
+            load_dataset(root)
+
+    def test_split_file_one_frame_short_names_last_sample(self, tmp_path):
+        root = self._pair(tmp_path)
+        target = root / "train.pgm"
+        write_pgm(target, read_pgm(target)[:3 * 8] // 255)  # three frames of four
+        with pytest.raises(DatasetError,
+                           match=r"M001-nm-02-090: split file .*train.pgm has shape"
+                                 r" \(24, 8\), expected 4 frames of 8x8"):
+            load_dataset(root)
+
     def test_missing_frame_names_sample(self, tmp_path):
         root = self._micro(tmp_path)
         self._sequence_file(root).unlink()
-        with pytest.raises(DatasetError, match="M001-nm-01-090.*missing sequence file"):
+        with pytest.raises(DatasetError, match="M001-nm-01-090.*missing split file"):
             load_dataset(root)
 
     def test_truncated_sequence_file_names_sample(self, tmp_path):
@@ -325,7 +411,7 @@ class TestLoadErrors:
         root = tmp_path / "src"
         shutil.copytree(tiny_source_dir, root)
         full = load_dataset(root)
-        next((root / "test").rglob("*.pgm")).unlink()
+        (root / "test.pgm").unlink()
         train = load_dataset(root, split="train")
         assert [s.sample_id for s in train.sequences] == [
             s.sample_id for s in full.split("train")]
@@ -333,7 +419,7 @@ class TestLoadErrors:
                    for a, b in zip(train.sequences, full.split("train")))
         assert train.split("test") == []
         assert len(train.manifest.records) == len(full.manifest.records)
-        with pytest.raises(DatasetError, match="missing sequence file"):
+        with pytest.raises(DatasetError, match="missing split file"):
             load_dataset(root, split="test")
 
     def test_split_without_records_is_refused(self, tmp_path):
@@ -342,6 +428,7 @@ class TestLoadErrors:
         for r in doc["records"]:
             r["split"] = "test"
         (root / "manifest.json").write_text(json.dumps(doc))
+        (root / "train.pgm").rename(root / "test.pgm")
         assert len(load_dataset(root, split="test").sequences) == 1
         with pytest.raises(DatasetError, match="has no train split"):
             load_dataset(root, split="train")
