@@ -3,14 +3,18 @@
 Each identity is a latent body shape; each frame renders a parametric
 walker (torso ellipse plus two swinging leg segments) at a gait phase,
 projected for the camera view, with per-domain style transforms (scale,
-shear, dilation or erosion, speckle noise) applied afterwards. A walk is
-rendered as one (K, H, W) array. Each split of a domain is stored as one
-binary P5 PGM file, root/<split>.pgm, holding the split's sequences in
-manifest order with every frame of H x W stacked top to bottom. A JSON
-manifest at the root (format_version 3) lists every sequence with its split
-and frame count; a sequence's frames start at the sum of the frame counts
-of the records before it in its split. A split is written, read and
-validated as one unit.
+shear, dilation or erosion, speckle noise) applied afterwards. Each walk
+draws its body wobble, start phase and speckle from its own random stream,
+in manifest order. The geometry then runs on chunks of consecutive walks,
+one (n, K, H, W) array per chunk of at most CHUNK_FRAMES frames (or one
+longer walk); every pixel is computed from its own walk's draws alone, so
+a walk renders the same bytes in any chunk. Each split of a domain is
+stored as one binary P5 PGM file, root/<split>.pgm, holding the split's
+sequences in manifest order with every frame of H x W stacked top to
+bottom. A JSON manifest at the root (format_version 3) lists every
+sequence with its split and frame count; a sequence's frames start at the
+sum of the frame counts of the records before it in its split. A split is
+written, read and validated as one unit.
 """
 
 from __future__ import annotations
@@ -163,8 +167,31 @@ def _perturb_latent(base: _BodyLatent, sigma: float, rng: np.random.Generator) -
     fields = {}
     for name, (lo, hi) in _LATENT_RANGES.items():
         value = getattr(base, name) + sigma * (hi - lo) * rng.standard_normal()
-        fields[name] = float(np.clip(value, lo, hi))
+        fields[name] = min(max(value, lo), hi)
     return _BodyLatent(**fields)
+
+
+@dataclass(frozen=True)
+class _Walk:
+    """Everything besides the DomainSpec that sets one walk's pixels."""
+
+    latent: _BodyLatent
+    condition: str
+    sv: float                 # lateral visibility of the swing, from the view
+    phase0: float             # gait phase of the first frame, in cycles
+    noise: np.ndarray | None  # (K, H, W) speckle, when the domain has noise
+
+
+def _draw_walk(base: _BodyLatent, jitter: float, condition: str, sv: float,
+               spec: DomainSpec, rng: np.random.Generator) -> _Walk:
+    """The walk's draws from its own stream: wobble, start phase, then speckle."""
+    latent = _perturb_latent(base, jitter, rng)
+    phase0 = rng.uniform(0.0, max(spec.phase_jitter, 1e-9))
+    noise = None
+    if spec.noise > 0.0:
+        # one draw consumes the stream exactly as K per-frame (H, W) draws
+        noise = rng.random((spec.frames, spec.height, spec.width)) < spec.noise
+    return _Walk(latent, condition, sv, phase0, noise)
 
 
 def _segment_mask(xs, ys, x0, y0, x1, y1, thick):
@@ -172,24 +199,40 @@ def _segment_mask(xs, ys, x0, y0, x1, y1, thick):
     may be arrays that broadcast against xs and ys, one segment per frame."""
     dx, dy = x1 - x0, y1 - y0
     L2 = np.maximum(dx * dx + dy * dy, 1e-12)  # a point segment stays finite
-    t = np.clip(((xs - x0) * dx + (ys - y0) * dy) / L2, 0.0, 1.0)
-    px = x0 + t * dx
-    py = y0 + t * dy
-    return (xs - px) ** 2 + (ys - py) ** 2 <= thick * thick
+    # in place over the full-size arrays, each step rounding as the plain
+    # expression (xs - (x0 + t dx))^2 + (ys - (y0 + t dy))^2 would
+    t = (xs - x0) * dx
+    t += (ys - y0) * dy
+    t /= L2
+    np.clip(t, 0.0, 1.0, out=t)
+    d2 = t * dx
+    d2 += x0
+    np.subtract(xs, d2, out=d2)
+    np.square(d2, out=d2)
+    t *= dy
+    t += y0
+    np.subtract(ys, t, out=t)
+    np.square(t, out=t)
+    d2 += t
+    return d2 <= thick * thick
 
 
-# the 4-connected cross, one frame deep: frames never dilate into each other
-_FRAME_CROSS = ndimage.generate_binary_structure(2, 1)[None]
+# the 4-connected cross, one frame and one walk deep: frames and walks never
+# dilate into each other
+_FRAME_CROSS = ndimage.generate_binary_structure(2, 1)[None, None]
+
+# Frames per rendering chunk: a chunk's float temporaries hold about
+# CHUNK_FRAMES x H x W values (300 KB each at 24 x 24), so short walks
+# share the per-call cost without split-sized arrays.
+CHUNK_FRAMES = 64
 
 
-def _render_sequence(
-    latent: _BodyLatent,
-    condition: str,
-    view: str,
-    spec: DomainSpec,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """(K, H, W) binary silhouettes of one walk, one gait phase per frame."""
+def _render_chunk(spec: DomainSpec, walks: list[_Walk]) -> np.ndarray:
+    """(n, K, H, W) binary silhouettes of n walks, one gait phase per frame.
+
+    Every value is computed elementwise from its own walk's draws, so a
+    walk's frames do not depend on the walks that share its chunk.
+    """
     k, h, w = spec.frames, spec.height, spec.width
     cols = (np.arange(w) + 0.5) / w
     rows = (np.arange(h) + 0.5) / h
@@ -200,26 +243,31 @@ def _render_sequence(
     v = (ys - 0.5) / sy + 0.5
     u = ((xs - 0.5) - spec.shear * (v - 0.5)) / sx + 0.5
 
-    sv = abs(np.sin(np.deg2rad(float(view))))  # lateral visibility of the swing
+    def per_walk(values):  # shaped to broadcast over (n, K, H, W)
+        return np.array(values)[:, None, None, None]
 
-    rx = latent.torso_rx * (0.65 + 0.35 * sv)
-    ry = latent.torso_ry
-    if condition == "CL":
-        rx, ry = rx * 1.12, ry * 1.05
-    mask = ((u - 0.5) / rx) ** 2 + ((v - latent.torso_cy) / ry) ** 2 <= 1.0
-    if condition == "BG":
-        mask = mask | (((u - 0.66) / 0.09) ** 2 + ((v - 0.47) / 0.075) ** 2 <= 1.0)
+    lat = {name: per_walk([getattr(wk.latent, name) for wk in walks])
+           for name in _LATENT_RANGES}
+    sv = per_walk([wk.sv for wk in walks])
+    coat = per_walk([wk.condition == "CL" for wk in walks])
+    bag = per_walk([wk.condition == "BG" for wk in walks])
 
-    phase0 = rng.uniform(0.0, max(spec.phase_jitter, 1e-9))
-    phase = phase0 + (np.arange(k) * spec.resample) / spec.period
-    angle = (latent.swing_amp * np.sin(2.0 * np.pi * phase))[:, None, None]
+    rx = lat["torso_rx"] * (0.65 + 0.35 * sv)
+    ry = lat["torso_ry"]
+    rx = np.where(coat, rx * 1.12, rx)
+    ry = np.where(coat, ry * 1.05, ry)
+    mask = ((u - 0.5) / rx) ** 2 + ((v - lat["torso_cy"]) / ry) ** 2 <= 1.0
+    mask |= bag & (((u - 0.66) / 0.09) ** 2 + ((v - 0.47) / 0.075) ** 2 <= 1.0)
+
+    steps = (np.arange(k) * spec.resample) / spec.period
+    phase = per_walk([wk.phase0 for wk in walks]) + steps[:, None, None]
+    angle = lat["swing_amp"] * np.sin(2.0 * np.pi * phase)
+    hip_y, leg_len = lat["hip_y"], lat["leg_len"]
     for side, theta in ((-1.0, angle), (1.0, -angle)):
-        hip_x = 0.5 + side * latent.stance * (1.0 - sv)
-        foot_x = hip_x + latent.leg_len * np.sin(theta) * sv
-        foot_y = latent.hip_y + latent.leg_len * np.cos(theta)
-        mask = mask | _segment_mask(
-            u, v, hip_x, latent.hip_y, foot_x, foot_y, latent.leg_thick
-        )
+        hip_x = 0.5 + side * lat["stance"] * (1.0 - sv)
+        foot_x = hip_x + leg_len * np.sin(theta) * sv
+        foot_y = hip_y + leg_len * np.cos(theta)
+        mask = mask | _segment_mask(u, v, hip_x, hip_y, foot_x, foot_y, lat["leg_thick"])
 
     if spec.dilate > 0:
         mask = ndimage.binary_dilation(mask, _FRAME_CROSS, iterations=spec.dilate)
@@ -227,12 +275,13 @@ def _render_sequence(
         mask = ndimage.binary_erosion(mask, _FRAME_CROSS, iterations=-spec.dilate)
 
     if spec.noise > 0.0:
-        # one draw consumes the stream exactly as K per-frame (H, W) draws
-        mask = mask | (rng.random((k, h, w)) < spec.noise)
+        mask |= np.stack([wk.noise for wk in walks])
 
     frames = mask.astype(np.uint8)
     # erosion can wipe tiny bodies; keep the invariant of >= 1 pixel per frame
-    frames[~frames.any(axis=(1, 2)), int(latent.torso_cy * h), w // 2] = 1
+    walk, frame = np.nonzero(~frames.any(axis=(2, 3)))
+    cy = (lat["torso_cy"] * h).astype(np.intp).ravel()
+    frames[walk, frame, cy[walk], w // 2] = 1
     return frames
 
 
@@ -241,13 +290,6 @@ def _render_sequence(
 
 def _pgm_header(width: int, height: int) -> bytes:
     return f"P5\n{width} {height}\n255\n".encode("ascii")
-
-
-def write_pgm(path: str | Path, frame01: np.ndarray) -> None:
-    """Binary P5 PGM with values in {0, 255}."""
-    frame01 = np.asarray(frame01, dtype=np.uint8)
-    Path(path).write_bytes(_pgm_header(frame01.shape[1], frame01.shape[0])
-                           + (frame01 * 255).tobytes())
 
 
 # magic, width, height and maxval, separated by whitespace or '#' comment
@@ -278,9 +320,15 @@ def read_pgm(path: str | Path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # generation / loading
 
-def _render_walks(spec: DomainSpec, seed: int, split: str,
-                  gids: range) -> Iterator[tuple[SequenceRecord, np.ndarray]]:
-    """Each walk of the given identities, in manifest order, with its (K, H, W) frames."""
+def _render_walks(spec: DomainSpec, seed: int, split: str, gids: range
+                  ) -> Iterator[tuple[list[SequenceRecord], np.ndarray]]:
+    """The walks of the given identities in manifest order, in chunks of at
+    most CHUNK_FRAMES frames (one walk at least): each chunk's records and
+    its (n, K, H, W) frames."""
+    per_chunk = max(1, CHUNK_FRAMES // spec.frames)
+    visibility = {view: abs(np.sin(np.deg2rad(float(view)))) for view in spec.views}
+    records: list[SequenceRecord] = []
+    walks: list[_Walk] = []
     for gid in gids:
         identity = f"{spec.id_prefix}{gid + 1:03d}"
         latent_rng = seed_stream(seed, _ROLE_LATENT, gid)
@@ -293,16 +341,21 @@ def _render_walks(spec: DomainSpec, seed: int, split: str,
                 for view in spec.views:
                     rng = seed_stream(seed, _ROLE_SEQUENCE, gid, seq_counter)
                     seq_counter += 1
-                    walk_latent = _perturb_latent(latent, jitter, rng)
-                    frames = _render_sequence(walk_latent, condition, view, spec, rng)
-                    yield SequenceRecord(
+                    walks.append(_draw_walk(latent, jitter, condition, visibility[view],
+                                            spec, rng))
+                    records.append(SequenceRecord(
                         sample_id=f"{identity}-{walk}-{view}",
                         identity=identity,
                         condition=condition,
                         view=view,
                         split=split,
                         frame_count=spec.frames,
-                    ), frames
+                    ))
+                    if len(walks) == per_chunk:
+                        yield records, _render_chunk(spec, walks)
+                        records, walks = [], []
+    if walks:
+        yield records, _render_chunk(spec, walks)
 
 
 def generate_domain(
@@ -314,7 +367,7 @@ def generate_domain(
     """Write a full domain (train and test splits) under root; returns the manifest.
 
     Identical (spec, seed) produce byte-identical trees. An existing
-    manifest is deleted first, each split file is streamed walk by walk into
+    manifest is deleted first, each split file is streamed chunk by chunk into
     a temporary file and renamed into place, and the manifest is written
     last, so a generation that fails partway leaves no loadable dataset.
     """
@@ -331,9 +384,9 @@ def generate_domain(
             continue
         with replacing(path) as tmp, open(tmp, "wb") as fh:
             fh.write(_pgm_header(spec.width, rows))
-            for record, frames in _render_walks(spec, seed, split, gids):
+            for chunk, frames in _render_walks(spec, seed, split, gids):
                 fh.write(frames * np.uint8(255))
-                records.append(record)
+                records.extend(chunk)
 
     manifest = DatasetManifest(root, domain, spec.height, spec.width, records)
     write_json(root / MANIFEST_NAME, {

@@ -16,7 +16,6 @@ from gaitadapt.data import (
     load_manifest,
     read_pgm,
     sample_pk_batch,
-    write_pgm,
 )
 from gaitadapt.encoder import SilhouetteSequence
 from gaitadapt.numerics import make_rng, seed_stream
@@ -25,6 +24,13 @@ from conftest import tiny_domain_spec
 
 
 DESK_SEED1_PIXELS = "b11c0d64cf339a6ed207015d7cbe3efe84152f4eee20b93be804fec692609032"
+
+
+def write_pgm(path, frame01):
+    """Binary P5 PGM of a 0/1 frame, with the header gen-data writes."""
+    frame01 = np.asarray(frame01, dtype=np.uint8)
+    path.write_bytes(data._pgm_header(frame01.shape[1], frame01.shape[0])
+                     + (frame01 * 255).tobytes())
 
 
 def _tree_bytes(root):
@@ -110,23 +116,50 @@ class TestGeneration:
     def test_interrupted_regeneration_leaves_no_loadable_mix(self, tmp_path, monkeypatch,
                                                               fail_at):
         # the tiny target renders 18 train walks, then 12 test walks; a
-        # regeneration at another seed fails at walk fail_at, in either split
+        # regeneration at another seed fails at the chunk holding walk fail_at,
+        # in either split
         spec = tiny_domain_spec("T")
         root = tmp_path / "t"
         generate_domain(spec, root, domain="target", seed=1)
-        real, calls = data._render_sequence, []
+        real, rendered = data._render_chunk, []
 
-        def render(*args):
-            calls.append(1)
-            if len(calls) == fail_at:
+        def render(spec, walks):
+            rendered.extend(walks)
+            if len(rendered) >= fail_at:
                 raise OSError("disk full")
-            return real(*args)
-        monkeypatch.setattr(data, "_render_sequence", render)
+            return real(spec, walks)
+        monkeypatch.setattr(data, "_render_chunk", render)
         with pytest.raises(OSError, match="disk full"):
             generate_domain(spec, root, domain="target", seed=2)
         with pytest.raises(DatasetError, match="no manifest.json"):
             load_dataset(root)
         assert [p.name for p in root.iterdir() if p.suffix == ".tmp"] == []
+
+    @pytest.mark.parametrize("dilate", [1, -2])
+    def test_walk_frames_do_not_depend_on_chunk_neighbours(self, tmp_path, monkeypatch,
+                                                           dilate):
+        # 5-frame walks do not fill a chunk evenly: with six identities of
+        # 8 walks the first identity shares its chunk with the second, and
+        # alone it fills only part of one; heavy erosion empties frames
+        spec = tiny_domain_spec("C", identities=1, test_identities=0, frames=5,
+                                walks={"NM": 2, "BG": 1, "CL": 1}, dilate=dilate,
+                                noise=0.05)
+        many = dataclasses.replace(spec, identities=6)
+        assert data.CHUNK_FRAMES % spec.frames
+        assert 6 * many.sequences_per_identity * many.frames > 2 * data.CHUNK_FRAMES
+        generate_domain(spec, tmp_path / "one", domain="t", seed=3)
+        generate_domain(many, tmp_path / "many", domain="t", seed=3)
+        alone = load_dataset(tmp_path / "one").sequences
+        shared = [s for s in load_dataset(tmp_path / "many").sequences
+                  if s.identity == "C001"]
+        assert [s.sample_id for s in alone] == [s.sample_id for s in shared]
+        for a, b in zip(alone, shared):
+            assert a.frames.tobytes() == b.frames.tobytes(), a.sample_id
+        # and every walk renders as it does in a chunk of its own
+        monkeypatch.setattr(data, "CHUNK_FRAMES", 1)
+        generate_domain(many, tmp_path / "single", domain="t", seed=3)
+        assert ((tmp_path / "single" / "train.pgm").read_bytes()
+                == (tmp_path / "many" / "train.pgm").read_bytes())
 
     def test_seed_changes_the_data(self, tmp_path):
         spec = tiny_domain_spec("D")
