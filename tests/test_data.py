@@ -146,7 +146,7 @@ class TestGeneration:
                                 noise=0.05)
         many = dataclasses.replace(spec, identities=6)
         assert data.CHUNK_FRAMES % spec.frames
-        assert 6 * many.sequences_per_identity * many.frames > 2 * data.CHUNK_FRAMES
+        assert many.identities * many.sequences_per_identity * many.frames > 2 * data.CHUNK_FRAMES
         generate_domain(spec, tmp_path / "one", domain="t", seed=3)
         generate_domain(many, tmp_path / "many", domain="t", seed=3)
         alone = load_dataset(tmp_path / "one").sequences
