@@ -67,9 +67,7 @@ from .pipeline import (
     RunLog,
     TrainConfig,
     adapt_target,
-    desk_preset,
     lr_at,
-    paper_preset,
     pretrain_source,
 )
 from .config import (
@@ -116,7 +114,6 @@ __all__ = [
     "build_bank",
     "default_source_spec",
     "default_target_spec",
-    "desk_preset",
     "discover_neighborhoods",
     "encode_backward",
     "encode_batch",
@@ -133,7 +130,6 @@ __all__ = [
     "make_protocol",
     "make_rng",
     "neighborhood_loss",
-    "paper_preset",
     "preset_config",
     "pretrain_source",
     "rank1",

@@ -31,7 +31,7 @@ from .config import (
     save_config,
 )
 from .data import DatasetError, generate_domain, load_dataset
-from .discovery import dump_round_diagnostics
+from .discovery import STRATEGIES, dump_round_diagnostics
 from .encoder import EncoderParams, encode_sequences, load_checkpoint, save_checkpoint
 from .evaluation import ProtocolError, make_protocol, rank1
 from .files import write_json
@@ -178,7 +178,7 @@ def cmd_eval(args) -> None:
     log.info("evaluation done: rank1 = %.4f", summary["rank1"])
 
 
-ABLATE_METHODS = ("direct", "high", "low", "random")
+ABLATE_METHODS = ("direct", *STRATEGIES)
 
 
 def run_ablation(cfg: ExperimentConfig, out: Path, seeds: list[int],
@@ -207,7 +207,7 @@ def run_ablation(cfg: ExperimentConfig, out: Path, seeds: list[int],
         ck = write_stage((seed_dir / "pretrain").joinpath, params, runlog)
         results["direct"][seed] = _evaluate_checkpoint(
             ck, tgt_root, convention, gallery_size)
-        for strategy in ("high", "low", "random"):
+        for strategy in STRATEGIES:
             log.info("  strategy %s", strategy)
             strat_cfg = dataclasses.replace(seed_cfg, strategy=strategy)
             ck = write_stage((seed_dir / f"adapt_{strategy}").joinpath,
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="base preset when no --config is given (default desk)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, help="override the experiment seed")
-        p.add_argument("--strategy", choices=["high", "low", "random"],
+        p.add_argument("--strategy", choices=STRATEGIES,
                        help="override the anchor selection strategy")
         p.add_argument("--force", action="store_true",
                        help="overwrite a completed run directory")

@@ -3,7 +3,9 @@
 Each identity is a latent body shape; each frame renders a parametric
 walker (torso ellipse plus two swinging leg segments) at a gait phase,
 projected for the camera view, with per-domain style transforms (scale,
-shear, dilation or erosion, speckle noise) applied afterwards. Each walk
+shear, dilation or erosion, speckle noise) applied afterwards; dilation
+and erosion are shifted ORs or ANDs of each frame padded with off pixels,
+in NumPy alone. Each walk
 draws its body wobble, start phase and speckle from its own random stream,
 in manifest order. The geometry then runs on chunks of consecutive walks,
 one (n, K, H, W) array per chunk of at most CHUNK_FRAMES frames (or one
@@ -27,7 +29,6 @@ from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .encoder import SilhouetteSequence
 from .files import read_json, replacing, write_json
@@ -217,9 +218,16 @@ def _segment_mask(xs, ys, x0, y0, x1, y1, thick):
     return d2 <= thick * thick
 
 
-# the 4-connected cross, one frame and one walk deep: frames and walks never
-# dilate into each other
-_FRAME_CROSS = ndimage.generate_binary_structure(2, 1)[None, None]
+def _cross_step(mask: np.ndarray, combine) -> None:
+    """Dilate (combine=np.logical_or) or erode (np.logical_and) each frame
+    of an (n, K, H, W) boolean mask in place by the 4-connected cross.
+    Pixels outside a frame count as off, so frames never reach into each
+    other."""
+    padded = np.pad(mask, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    for shifted in (padded[..., :-2, 1:-1], padded[..., 2:, 1:-1],
+                    padded[..., 1:-1, :-2], padded[..., 1:-1, 2:]):
+        combine(mask, shifted, out=mask)
+
 
 # Frames per rendering chunk: a chunk's float temporaries hold about
 # CHUNK_FRAMES x H x W values (300 KB each at 24 x 24), so short walks
@@ -269,10 +277,9 @@ def _render_chunk(spec: DomainSpec, walks: list[_Walk]) -> np.ndarray:
         foot_y = hip_y + leg_len * np.cos(theta)
         mask = mask | _segment_mask(u, v, hip_x, hip_y, foot_x, foot_y, lat["leg_thick"])
 
-    if spec.dilate > 0:
-        mask = ndimage.binary_dilation(mask, _FRAME_CROSS, iterations=spec.dilate)
-    elif spec.dilate < 0:
-        mask = ndimage.binary_erosion(mask, _FRAME_CROSS, iterations=-spec.dilate)
+    combine = np.logical_or if spec.dilate > 0 else np.logical_and
+    for _ in range(abs(spec.dilate)):
+        _cross_step(mask, combine)
 
     if spec.noise > 0.0:
         mask |= np.stack([wk.noise for wk in walks])

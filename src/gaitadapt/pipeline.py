@@ -17,6 +17,7 @@ import numpy as np
 
 from .data import sample_pk_batch
 from .discovery import (
+    STRATEGIES,
     CurriculumSchedule,
     MemoryBank,
     build_bank,
@@ -44,7 +45,8 @@ _ROLE_ADAPT = 12
 @dataclass(frozen=True)
 class TrainConfig:
     """All training hyperparameters. Defaults follow the reference recipe;
-    desk_preset() swaps in values sized for minutes-long CPU runs."""
+    config.preset_config("desk") swaps in values sized for minutes-long CPU
+    runs."""
 
     margin: float = 0.2
     tau: float = 0.1
@@ -85,37 +87,13 @@ class TrainConfig:
         for name in ("epochs_per_round", "pretrain_epochs", "decay_start"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.strategy not in ("high", "low", "random"):
+        if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.self_terms_for_unselected and not self.include_self:
             raise ValueError(
                 "self_terms_for_unselected needs include_self: a sample whose"
                 " neighborhood is only itself has no probability mass otherwise"
             )
-
-
-def desk_preset(**overrides) -> TrainConfig:
-    """Minutes-scale CPU settings. The small encoder wants larger steps, a
-    wider margin to spread the embedding cone, and a colder softmax so that
-    entropy resolves clump structure at a 200-sample bank."""
-    base = dict(
-        margin=0.8,
-        tau=0.02,
-        epochs_per_round=20,
-        pretrain_epochs=250,
-        batch_p=4,
-        batch_k=4,
-        learning_rate=1e-2,
-        adapt_learning_rate=1e-3,
-        decay_start=150,
-        decay_interval=50,
-    )
-    base.update(overrides)
-    return TrainConfig(**base)
-
-
-def paper_preset(**overrides) -> TrainConfig:
-    return TrainConfig(**overrides)
 
 
 @dataclass

@@ -11,9 +11,8 @@ import pytest
 
 import gaitadapt
 from gaitadapt.cli import build_parser, main
-from gaitadapt.config import ExperimentConfig, load_config, save_config
+from gaitadapt.config import ExperimentConfig, load_config, preset_config, save_config
 from gaitadapt.data import load_dataset
-from gaitadapt.pipeline import desk_preset
 
 from conftest import PIPE_SHAPE, tiny_domain_spec
 
@@ -30,7 +29,7 @@ def _tiny_config(**train_overrides):
     train.update(train_overrides)
     return ExperimentConfig(
         encoder=PIPE_SHAPE,
-        train=desk_preset(**train),
+        train=dataclasses.replace(preset_config("desk").train, **train),
         source=tiny_domain_spec("S"),
         target=tiny_domain_spec("T", period=11.0, dilate=1),
     )
@@ -92,6 +91,32 @@ class TestGenData:
         assert resolved.train == load_config(cfg_file).train
         args_doc = json.loads((data_dir / "run_args.json").read_text())
         assert args_doc["verb"] == "gen-data"
+
+    def test_runs_without_scipy(self, cfg_file, data_dir, tmp_path):
+        # SciPy blocked from importing: gen-data still succeeds, imports no
+        # scipy module and writes the same datasets as the in-process run
+        src = str(Path(gaitadapt.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "g"
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from gaitadapt.cli import main\n"
+            f"rc = main(['gen-data', '--config', {str(cfg_file)!r}, '--out', {str(out)!r}])\n"
+            "loaded = [m for m, mod in sys.modules.items()\n"
+            "          if mod is not None and m.split('.')[0] == 'scipy']\n"
+            "print(loaded)\n"
+            "sys.exit(rc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        for domain in ("source", "target"):
+            for name in ("manifest.json", "train.pgm", "test.pgm"):
+                assert ((out / domain / name).read_bytes()
+                        == (data_dir / domain / name).read_bytes()), (domain, name)
 
     def test_one_file_per_nonempty_split(self, tmp_path):
         cfg = _tiny_config()

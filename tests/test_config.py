@@ -18,7 +18,6 @@ from gaitadapt.config import (
 )
 from gaitadapt.data import generate_domain, load_dataset, sample_pk_batch
 from gaitadapt.numerics import make_rng
-from gaitadapt.pipeline import desk_preset
 
 
 class TestDefaults:
@@ -68,7 +67,8 @@ class TestPresets:
         ("batch_p", 21, "batch_p 21 exceeds the 20 training identities"),
     ])
     def test_batches_the_source_cannot_fill_are_rejected(self, field, value, match):
-        cfg = ExperimentConfig(train=desk_preset(**{field: value}))
+        cfg = ExperimentConfig(
+            train=dataclasses.replace(preset_config("desk").train, **{field: value}))
         with pytest.raises(ConfigError, match=match):
             cfg.check_batches()
 

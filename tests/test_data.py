@@ -181,6 +181,25 @@ class TestGeneration:
                 digest.update(s.frames.tobytes())
         assert digest.hexdigest() == DESK_SEED1_PIXELS
 
+    @pytest.mark.parametrize("dilate,scale,pixels", [
+        (-3, (5.0, 3.0), "3b3359fe6ccddf4db94c8729193fd6afa0a524c7d33224ac008857503748dad5"),
+        (-1, (5.0, 3.0), "af0ee7111d08dc36f1a2618ea4a849ca770fec8550c8dbc04994162e16fcfaec"),
+        (2, (1.0, 1.0), "b3292adb44fd5bf2d6996cde33b7f15df281d2f8cfb2318988c753f5052d6964"),
+        (3, (1.0, 1.0), "befc9020f52ae3d0c256502e7660b8c090759bc66a37801f2b5f63374e511e90"),
+    ])
+    def test_styled_pixels_are_pinned(self, tmp_path, dilate, scale, pixels):
+        # SHA-256 over every loaded frames array of an odd-sized 13 x 7,
+        # 5-frame domain at seed 4, recorded when scipy.ndimage did the
+        # morphology; the erosion cases scale bodies up so that some reach
+        # the frame edge and some survive three rounds
+        spec = tiny_domain_spec("M", height=13, width=7, frames=5, dilate=dilate,
+                                scale=scale)
+        generate_domain(spec, tmp_path, domain="m", seed=4)
+        digest = hashlib.sha256()
+        for s in load_dataset(tmp_path).sequences:
+            digest.update(s.frames.tobytes())
+        assert digest.hexdigest() == pixels
+
     def test_loaded_frames_are_binary(self, tiny_source_dir):
         ds = load_dataset(tiny_source_dir)
         assert len(ds.sequences) == 30

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
 from gaitadapt.cli import write_stage
+from gaitadapt.config import preset_config
 from gaitadapt.data import load_dataset
 from gaitadapt.discovery import build_bank
 from gaitadapt.encoder import init_params
@@ -12,9 +14,7 @@ from gaitadapt.pipeline import (
     RunLog,
     TrainConfig,
     adapt_target,
-    desk_preset,
     lr_at,
-    paper_preset,
     pretrain_source,
 )
 
@@ -37,7 +37,7 @@ def _params_equal(a, b):
 
 class TestTrainConfig:
     def test_reference_defaults(self):
-        cfg = paper_preset()
+        cfg = preset_config("paper").train
         assert (cfg.margin, cfg.tau) == (0.2, 0.1)
         assert (cfg.neighbors, cfg.rounds) == (1, 4)
         assert (cfg.pretrain_epochs, cfg.epochs_per_round) == (200, 200)
@@ -50,12 +50,12 @@ class TestTrainConfig:
         assert cfg.include_self
 
     def test_desk_preset_overrides(self):
-        cfg = desk_preset()
+        cfg = preset_config("desk").train
         assert (cfg.margin, cfg.tau) == (0.8, 0.02)
         assert (cfg.learning_rate, cfg.adapt_learning_rate) == (1e-2, 1e-3)
         assert (cfg.pretrain_epochs, cfg.epochs_per_round) == (250, 20)
         assert (cfg.decay_start, cfg.decay_interval) == (150, 50)
-        assert desk_preset(seed=9, strategy="low").seed == 9
+        assert dataclasses.replace(cfg, seed=9, strategy="low").seed == 9
 
     @pytest.mark.parametrize("kw", [
         dict(margin=0.0), dict(tau=0.0), dict(learning_rate=-1e-3),
@@ -75,38 +75,38 @@ class TestTrainConfig:
 
 class TestLrSchedule:
     def test_reference_boundaries(self):
-        cfg = paper_preset()
+        cfg = preset_config("paper").train
         for epoch, expected in [(1, 1e-5), (80, 1e-5), (81, 1e-6), (120, 1e-6),
                                 (121, 1e-7), (160, 1e-7), (161, 1e-8)]:
             assert lr_at(epoch, cfg) == pytest.approx(expected, rel=1e-12), epoch
 
     def test_adapt_uses_its_own_base_rate(self):
-        cfg = desk_preset()
+        cfg = preset_config("desk").train
         assert lr_at(1, cfg, stage="pretrain") == 1e-2
         assert lr_at(1, cfg, stage="adapt") == 1e-3
         assert lr_at(151, cfg, stage="adapt") == pytest.approx(1e-4, rel=1e-12)
         assert lr_at(201, cfg, stage="pretrain") == pytest.approx(1e-4, rel=1e-12)
 
     def test_without_adapt_rate_stages_agree(self):
-        cfg = paper_preset()
+        cfg = preset_config("paper").train
         for e in (1, 81, 200):
             assert lr_at(e, cfg, "adapt") == lr_at(e, cfg, "pretrain")
 
     def test_never_increases(self):
-        cfg = desk_preset()
+        cfg = preset_config("desk").train
         rates = [lr_at(e, cfg) for e in range(1, 400)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
     def test_rejects_epoch_below_one(self):
         with pytest.raises(ValueError, match="epoch"):
-            lr_at(0, paper_preset())
+            lr_at(0, preset_config("paper").train)
 
 
 def _small_cfg(**kw):
     base = dict(pretrain_epochs=3, batch_p=2, batch_k=2, rounds=2,
                 epochs_per_round=2, adapt_batch_size=8, seed=5)
     base.update(kw)
-    return desk_preset(**base)
+    return dataclasses.replace(preset_config("desk").train, **base)
 
 
 class TestPretrain:
