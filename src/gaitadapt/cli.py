@@ -262,13 +262,15 @@ def write_ablation_tables(results: dict, out: Path, seeds: list[int]) -> None:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    """The comma-separated seed list of --seeds: integers, each once."""
+    """The comma-separated seed list of --seeds: non-negative integers, each once."""
     try:
         seeds = [int(s) for s in text.split(",") if s.strip()]
     except ValueError:
         raise CliError("E_CONFIG", f"--seeds {text!r}: every entry must be an integer") from None
     if not seeds:
         raise CliError("E_CONFIG", f"--seeds {text!r}: no seeds")
+    if min(seeds) < 0:
+        raise CliError("E_CONFIG", f"--seeds {text!r}: seed {min(seeds)} is negative")
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
         raise CliError("E_CONFIG", f"--seeds {text!r}: seed {repeated[0]} is repeated")

@@ -117,11 +117,18 @@ class ExperimentConfig:
 
 
 def _check_scalars(section: str, kind: type, values: dict) -> None:
-    """Raise ConfigError naming section.field for a scalar field whose value
-    does not match its annotation."""
+    """Raise ConfigError naming section.field for a key that is not a field
+    of the section, or for a scalar field whose value does not match its
+    annotation."""
     if not isinstance(values, dict):
         raise ConfigError(f"config section {section} must be an object, got {values!r}")
-    for f in dataclasses.fields(kind):
+    fields = dataclasses.fields(kind)
+    unknown = sorted(set(values) - {f.name for f in fields})
+    if unknown:
+        raise ConfigError(
+            f"unknown config field(s) {[f'{section}.{k}' for k in unknown]},"
+            f" expected one of {sorted(f.name for f in fields)}")
+    for f in fields:
         wanted, ok = _SCALAR_KINDS.get(f.type, (None, None))
         if ok and f.name in values and not ok(values[f.name]):
             raise ConfigError(f"{section}.{f.name} must be {wanted}, got {values[f.name]!r}")
@@ -164,8 +171,12 @@ def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
 
 
 def apply_overrides(cfg: ExperimentConfig, **train_overrides) -> ExperimentConfig:
-    """Replace train fields with any non-None overrides (CLI flags)."""
+    """Replace train fields with any non-None overrides (CLI flags); a value
+    the field refuses is a ConfigError, as it would be in a config file."""
     updates = {k: v for k, v in train_overrides.items() if v is not None}
     if updates:
-        cfg.train = dataclasses.replace(cfg.train, **updates)
+        try:
+            cfg.train = dataclasses.replace(cfg.train, **updates)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
     return cfg

@@ -151,22 +151,16 @@ def _top_k(sims: np.ndarray, rank: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(cand, order, axis=1)
 
 
-def scan_bank(
-    bank: MemoryBank,
-    k: int,
-    tau: float,
-    include_self: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
+def scan_bank(bank: MemoryBank, k: int, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """One pass over the bank: (neighbors (N, k), entropies (N,)).
 
     neighbors[i] holds the bank indices of sample i's k highest-cosine
     neighbors, itself excluded, ordered by similarity descending and then
     by sample id, so the result does not depend on sample order; k = 0
     finds none. entropies[i] is the entropy of sample i's softmax row over
-    the bank at temperature tau, its own entry left out of the row unless
-    include_self. Each block of rows is one product, which the neighbor
-    search reads with the diagonal masked and the entropy then reuses in
-    place.
+    the whole bank at temperature tau, its own entry included. Each block
+    of rows is one product, which the neighbor search reads with the
+    diagonal masked and the entropy then reuses with the diagonal restored.
     """
     n = bank.size
     if not 0 <= k < n:
@@ -180,8 +174,7 @@ def scan_bank(
         sims[diag] = -np.inf
         if k:
             neighbors[lo:hi] = _top_k(sims, bank.id_rank, k)
-        if include_self:
-            sims[diag] = own
+        sims[diag] = own
         h[lo:hi] = row_entropies(log_softmax_scores(sims, tau))
     return neighbors, h
 
@@ -228,9 +221,9 @@ class CurriculumSchedule:
         return -((-self.round_index * n_samples) // self.rounds)
 
 
-def bank_entropies(bank: MemoryBank, tau: float, include_self: bool = True) -> np.ndarray:
+def bank_entropies(bank: MemoryBank, tau: float) -> np.ndarray:
     """Softmax-row entropy of every stored sample against the whole bank."""
-    return scan_bank(bank, 0, tau, include_self)[1]
+    return scan_bank(bank, 0, tau)[1]
 
 
 def curriculum_order(
@@ -257,11 +250,10 @@ def rank_and_select(
     schedule: CurriculumSchedule,
     tau: float,
     rng: np.random.Generator,
-    include_self: bool = True,
 ) -> CurriculumSchedule:
     """Rank samples by entropy per the strategy and select the round's
     fraction (see curriculum_order), keyed by sample id."""
-    h = bank_entropies(bank, tau, include_self=include_self)
+    h = bank_entropies(bank, tau)
     order = curriculum_order(h, bank.id_rank, schedule.strategy, rng)
     n_sel = schedule.selection_size(bank.size)
     selected = tuple(bank.ids[i] for i in order[:n_sel])

@@ -52,6 +52,8 @@ def make_protocol(
     """
     if convention not in CONVENTIONS:
         raise ProtocolError(f"unknown convention {convention!r}, expected {CONVENTIONS}")
+    if gallery_size < 1:
+        raise ProtocolError(f"gallery size must be >= 1, got {gallery_size!r}")
     by_id: dict[str, list[SilhouetteSequence]] = {}
     for s in sorted(test_seqs, key=lambda s: s.sample_id):
         if s.identity is None:

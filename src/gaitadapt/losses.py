@@ -81,28 +81,14 @@ def triplet_loss(
     return loss, grads
 
 
-def log_softmax_rows(
-    anchors: np.ndarray,
-    bank: "MemoryBank",
-    tau: float,
-    anchor_indices: Sequence[int] | np.ndarray | None = None,
-    include_self: bool = True,
-) -> np.ndarray:
+def log_softmax_rows(anchors: np.ndarray, bank: "MemoryBank", tau: float) -> np.ndarray:
     """Log-probabilities of each anchor row against every bank entry, (B, N).
 
     One (B, d) @ (d, N) product, then a max-shifted log-softmax of each row
     of similarities over tau. Working in log space keeps a probability that
-    underflows to 0 usable as a finite log-probability. With
-    include_self=False the anchor's own entry, anchor_indices[b], gets
-    log-probability -inf (probability exactly zero) and drops out of the
-    denominator.
+    underflows to 0 usable as a finite log-probability.
     """
     z = np.asarray(anchors, dtype=np.float64) @ bank.entries.T
-    if not include_self:
-        idx = np.asarray([] if anchor_indices is None else anchor_indices, dtype=np.intp)
-        if idx.shape != (z.shape[0],) or np.any((idx < 0) | (idx >= z.shape[1])):
-            raise ValueError("self-exclusion requires a valid anchor_index")
-        z[np.arange(z.shape[0]), idx] = -np.inf
     return log_softmax_scores(z, tau)
 
 
@@ -206,16 +192,11 @@ def softmax_row(
     bank: "MemoryBank",
     tau: float,
     anchor_index: int = -1,
-    include_self: bool = True,
 ) -> SoftmaxRow:
-    """Non-parametric softmax of an anchor's similarities to the whole bank.
-
-    A batch of one through log_softmax_rows. With include_self=False the
-    anchor's own bank entry gets probability exactly zero (its similarity
-    is dropped from the denominator).
-    """
+    """Non-parametric softmax of an anchor's similarities to the whole bank,
+    its own entry included; a batch of one through log_softmax_rows."""
     anchor = np.asarray(anchor, dtype=np.float64)
-    log_probs = log_softmax_rows(anchor[None], bank, tau, [anchor_index], include_self)[0]
+    log_probs = log_softmax_rows(anchor[None], bank, tau)[0]
     return SoftmaxRow(np.exp(log_probs), anchor_index, tau, log_probs)
 
 

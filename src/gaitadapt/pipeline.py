@@ -64,8 +64,7 @@ class TrainConfig:
     decay_start: int = 80       # last epoch at the initial rate
     strategy: str = "high"
     bank_momentum: float = 0.5
-    include_self: bool = True   # softmax denominator includes the anchor's own entry
-    self_terms_for_unselected: bool = False
+    self_terms_for_unselected: bool = False  # unselected: AND's instance term -log p_ii
     seed: int = 1
 
     def __post_init__(self):
@@ -84,16 +83,11 @@ class TrainConfig:
                      "decay_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("epochs_per_round", "pretrain_epochs", "decay_start"):
+        for name in ("epochs_per_round", "pretrain_epochs", "decay_start", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.self_terms_for_unselected and not self.include_self:
-            raise ValueError(
-                "self_terms_for_unselected needs include_self: a sample whose"
-                " neighborhood is only itself has no probability mass otherwise"
-            )
 
 
 @dataclass
@@ -237,7 +231,7 @@ def adapt_target(
     for r in range(1, cfg.rounds + 1):
         # bank index i is seqs[i] throughout the round
         bank = build_bank(seqs, params, momentum=cfg.bank_momentum)
-        neighbors, h = scan_bank(bank, cfg.neighbors, cfg.tau, cfg.include_self)
+        neighbors, h = scan_bank(bank, cfg.neighbors, cfg.tau)
         n_sel = CurriculumSchedule(cfg.rounds, r, cfg.strategy).selection_size(n)
         ranking = curriculum_order(h, bank.id_rank, cfg.strategy,
                                    seed_stream(cfg.seed, _ROLE_ADAPT, r, 0))
@@ -266,7 +260,7 @@ def adapt_target(
                 batch_seqs = [seqs[i] for i in idx]
                 trace = encode_batch(batch_seqs, params)
                 fresh = trace.embeddings
-                log_probs = log_softmax_rows(fresh, bank, cfg.tau, idx, cfg.include_self)
+                log_probs = log_softmax_rows(fresh, bank, cfg.tau)
                 loss, demb = neighborhood_loss(log_probs, idx, members[idx], bank, cfg.tau)
                 grads = encode_backward(batch_seqs, params, demb, trace=trace)
                 _sgd_step(params, grads, lr)

@@ -151,6 +151,14 @@ class TestGenData:
                      "--seed", "9"]) == 0
         assert load_config(out / "resolved_config.json").train.seed == 9
 
+    def test_negative_seed_is_refused_before_out_is_claimed(self, cfg_file, tmp_path,
+                                                            capsys):
+        out = tmp_path / "neg"
+        rc = main(["gen-data", "--config", str(cfg_file), "--out", str(out), "--seed", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("ERROR E_CONFIG: seed must be >= 0, got -1")
+        assert not out.exists()
+
     def test_batch_the_source_cannot_fill_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         save_config(_tiny_config(batch_k=7), cfg_path)  # tiny source: 6 per identity
@@ -289,6 +297,17 @@ class TestEval:
         doc = json.loads((out / "results.json").read_text())
         assert doc["convention"] == "first-sequence-gallery"
 
+    def test_gallery_size_below_one_is_protocol_error(self, cfg_file, data_dir,
+                                                      pretrain_dir, tmp_path, capsys):
+        rc = main(["eval", "--config", str(cfg_file), "--out", str(tmp_path / "ev"),
+                   "--data", str(data_dir / "target"),
+                   "--checkpoint", str(pretrain_dir / "checkpoint.json"),
+                   "--gallery-size", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "ERROR E_PROTOCOL: gallery size must be >= 1, got -1")
+        assert not (tmp_path / "ev" / "results.json").exists()
+
     def test_reads_only_the_test_split(self, cfg_file, data_dir, pretrain_dir,
                                        tmp_path):
         data = tmp_path / "target"
@@ -387,7 +406,7 @@ class TestAblate:
         assert rc == 1
         assert capsys.readouterr().err.startswith("ERROR E_CONFIG:")
 
-    @pytest.mark.parametrize("seeds", ["1,1", "1,x", "2, 1 ,2", "1.5"])
+    @pytest.mark.parametrize("seeds", ["1,1", "1,x", "2, 1 ,2", "1.5", "2,-1"])
     def test_bad_seed_list_rejected_before_out_is_claimed(self, cfg_file, tmp_path, capsys,
                                                           seeds):
         rc = main(["ablate", "--config", str(cfg_file), "--out",
@@ -457,7 +476,10 @@ MALFORMED = {
     "checkpoint-version-1": ("checkpoint", _set_version(1), "E_INVALID"),
     "config-list": ("config", _as_list, "E_CONFIG"),
     "config-unknown-section": ("config", _add_section, "E_CONFIG"),
-    "config-string-bool": ("config", _set_config_field("train", "include_self", "no"),
+    "config-unknown-field": ("config", _set_config_field("train", "include_self", True),
+                             "E_CONFIG"),
+    "config-string-bool": ("config",
+                           _set_config_field("train", "self_terms_for_unselected", "no"),
                            "E_CONFIG"),
     "config-float-height": ("config", _set_config_field("encoder", "height", float),
                             "E_CONFIG"),

@@ -115,8 +115,8 @@ class TestSerialization:
             ExperimentConfig.from_dict({"format_version": 3})
 
     @pytest.mark.parametrize("section,key,value,wanted", [
-        ("train", "include_self", "no", "true or false"),
-        ("train", "include_self", 1, "true or false"),
+        ("train", "self_terms_for_unselected", "no", "true or false"),
+        ("train", "self_terms_for_unselected", 1, "true or false"),
         ("encoder", "height", 24.0, "an integer"),
         ("train", "pretrain_epochs", 1.5, "an integer"),
         ("train", "seed", True, "an integer"),
@@ -148,8 +148,14 @@ class TestSerialization:
             ExperimentConfig.from_dict({**preset_config("desk").to_dict(), "notes": "x"})
 
     def test_unknown_train_field(self):
-        with pytest.raises(ConfigError):
+        # named with its section and the fields it could have been
+        want = r"unknown config field\(s\) \['train.learning'\], expected one of \['adapt_"
+        with pytest.raises(ConfigError, match=want):
             ExperimentConfig.from_dict({"train": {"learning": 1.0}})
+        doc = preset_config("desk").to_dict()
+        doc["target"]["nosie"] = 0.1
+        with pytest.raises(ConfigError, match=r"\['target.nosie'\]"):
+            ExperimentConfig.from_dict(doc)
 
     def test_invalid_train_value(self):
         with pytest.raises(ConfigError, match="tau"):
@@ -174,5 +180,5 @@ class TestOverrides:
         assert cfg.train.strategy == "random"
 
     def test_bad_override_propagates(self):
-        with pytest.raises(ValueError, match="strategy"):
+        with pytest.raises(ConfigError, match="strategy"):
             apply_overrides(preset_config("desk"), strategy="worst")

@@ -230,30 +230,25 @@ class TestBlockedPass:
         # the data exercises the tie-break at the k-th place, across blocks
         assert boundary_ties > n // 5 and split_ties > n // 10
 
-    @pytest.mark.parametrize("include_self", [True, False])
-    def test_entropies_match_single_rows(self, include_self):
+    def test_entropies_match_single_rows(self):
         bank = _tied_bank()
         for tau in (0.05, 1e-3):
-            h = bank_entropies(bank, tau, include_self=include_self)
+            h = bank_entropies(bank, tau)
             for i in range(bank.size):
-                row = softmax_row(bank.entries[i], bank, tau, anchor_index=i,
-                                  include_self=include_self)
+                row = softmax_row(bank.entries[i], bank, tau, anchor_index=i)
                 assert h[i] == pytest.approx(entropy(row), abs=1e-12), (tau, i)
 
-    @pytest.mark.parametrize("include_self", [True, False])
-    def test_scan_entropies_equal_blockwise_softmax_bitwise(self, include_self):
+    def test_scan_entropies_equal_blockwise_softmax_bitwise(self):
         # the one-product scan keeps the separate entropy pass's values exactly
         bank = _tied_bank()
         for tau in (0.05, 1e-3):
             want = np.concatenate([
-                row_entropies(log_softmax_rows(bank.entries[lo:lo + BLOCK_ROWS], bank, tau,
-                                               np.arange(lo, min(lo + BLOCK_ROWS, bank.size)),
-                                               include_self))
+                row_entropies(log_softmax_rows(bank.entries[lo:lo + BLOCK_ROWS], bank, tau))
                 for lo in range(0, bank.size, BLOCK_ROWS)])
             for k in (0, 1, 4, 9):
-                _, h = scan_bank(bank, k, tau, include_self)
+                _, h = scan_bank(bank, k, tau)
                 assert np.array_equal(h, want), (tau, k)
-            assert np.array_equal(bank_entropies(bank, tau, include_self), want)
+            assert np.array_equal(bank_entropies(bank, tau), want)
 
 
 class TestCurriculumSchedule:
@@ -291,13 +286,6 @@ class TestRankAndSelect:
         for i in range(bank.size):
             row = softmax_row(bank.entries[i], bank, 0.1, anchor_index=i)
             assert h[i] == pytest.approx(entropy(row), abs=1e-12)
-
-    def test_self_exclusion_changes_entropies(self):
-        rng = make_rng(7)
-        bank = _unit_bank(rng, 6)
-        with_self = bank_entropies(bank, tau=0.1, include_self=True)
-        without = bank_entropies(bank, tau=0.1, include_self=False)
-        assert not np.allclose(with_self, without)
 
     def test_high_strategy_takes_descending_entropy(self):
         rng = make_rng(8)

@@ -47,6 +47,12 @@ class TestMakeProtocol:
         with pytest.raises(ProtocolError, match="convention"):
             make_protocol(_group("A", 4), "best-n-gallery")
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_gallery_size_below_one_rejected(self, size):
+        # -1 would slice off the last normal walk and use the rest as gallery
+        with pytest.raises(ProtocolError, match=f"gallery size must be >= 1, got {size}"):
+            make_protocol(_group("A", 5), "first-n-gallery", gallery_size=size)
+
     def test_unlabeled_sample_rejected(self):
         bad = SilhouetteSequence(frames=_ONES, sample_id="x-nm-01-000")
         with pytest.raises(ProtocolError, match="identity"):

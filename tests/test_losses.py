@@ -169,21 +169,6 @@ class TestSoftmaxRow:
         assert row.probs[0] == pytest.approx(1.0 / (1.0 + e), abs=1e-15)
         assert row.probs[1] == pytest.approx(e / (1.0 + e), abs=1e-15)
 
-    def test_self_exclusion_zeroes_own_entry(self):
-        rng = make_rng(8)
-        bank = MemoryBank(tuple("abcde"), random_unit_rows(rng, 5, 3))
-        row = softmax_row(bank.entries[2], bank, tau=0.1, anchor_index=2,
-                          include_self=False)
-        assert row.probs[2] == 0.0
-        assert abs(row.probs.sum() - 1.0) < 1e-12
-        mask = np.arange(5) != 2
-        assert np.all(row.probs[mask] > 0.0)
-
-    def test_self_exclusion_needs_valid_index(self):
-        with pytest.raises(ValueError, match="anchor_index"):
-            softmax_row(np.array([1.0, 0.0]), _two_entry_bank(), tau=0.1,
-                        include_self=False)
-
     def test_row_validates_sum(self):
         with pytest.raises(ValueError, match="sums to"):
             SoftmaxRow(np.array([0.5, 0.4]), anchor_index=0, tau=0.1)
@@ -335,26 +320,24 @@ class TestBatchedPath:
         return MemoryBank(tuple(f"s{i:02d}" for i in range(n)),
                           random_unit_rows(rng, n, d)), rng
 
-    @pytest.mark.parametrize("include_self", [True, False])
-    def test_rows_match_single_anchor_rows(self, include_self):
+    def test_rows_match_single_anchor_rows(self):
         bank, rng = self._bank()
         anchors = rng.standard_normal((4, 5))
         idx = np.array([3, 0, 11, 7])
-        log_probs = log_softmax_rows(anchors, bank, 0.1, idx, include_self)
+        log_probs = log_softmax_rows(anchors, bank, 0.1)
         h = row_entropies(log_probs)
         for b in range(4):
-            row = softmax_row(anchors[b], bank, 0.1, anchor_index=idx[b],
-                              include_self=include_self)
+            row = softmax_row(anchors[b], bank, 0.1, anchor_index=idx[b])
             assert np.allclose(np.exp(log_probs[b]), row.probs, rtol=0, atol=1e-15)
             assert h[b] == pytest.approx(entropy(row), abs=1e-12)
-            assert (log_probs[b, idx[b]] == -np.inf) == (not include_self)
+            assert np.all(np.isfinite(log_probs[b]))
 
     def test_loss_matches_per_anchor_api(self):
         bank, rng = self._bank()
         anchors = rng.standard_normal((3, 5))
         idx = np.array([2, 9, 5])
         members = np.array([[2, 4, 4], [9, 0, 1], [5, 5, 5]])  # repeats count once
-        log_probs = log_softmax_rows(anchors, bank, 0.2, idx)
+        log_probs = log_softmax_rows(anchors, bank, 0.2)
         loss, grads = neighborhood_loss(log_probs, idx, members, bank, 0.2)
         rows = [(int(i), softmax_row(a, bank, 0.2, anchor_index=int(i)))
                 for a, i in zip(anchors, idx)]
@@ -370,15 +353,14 @@ class TestBatchedPath:
             neighborhood_loss(log_probs, [1, 6], np.array([[1, 2], [5, 7]]), bank, 0.2)
 
     def test_neighborhood_without_mass_is_refused(self):
-        # the anchor alone, with its own entry excluded: probability zero
+        # the anchor alone, its own entry at probability zero
         bank, rng = self._bank()
-        log_probs = log_softmax_rows(rng.standard_normal((1, 5)), bank, 0.2, [4],
-                                     include_self=False)
+        log_probs = log_softmax_rows(rng.standard_normal((1, 5)), bank, 0.2)
+        log_probs[0, 4] = -np.inf
         with pytest.raises(ValueError, match="no probability mass"):
             neighborhood_loss(log_probs, [4], np.array([[4]]), bank, 0.2)
-
-    def test_self_exclusion_needs_indices_in_range(self):
-        bank, rng = self._bank()
-        with pytest.raises(ValueError, match="anchor_index"):
-            log_softmax_rows(rng.standard_normal((2, 5)), bank, 0.2, [1, 12],
-                             include_self=False)
+        probs = np.full(bank.size, 1.0 / (bank.size - 1))
+        probs[4] = 0.0
+        row = SoftmaxRow(probs, anchor_index=4, tau=0.2)
+        with pytest.raises(ValueError, match="no probability mass"):
+            anchor_neighborhood_loss([(4, row)], {4: [4]}, bank)

@@ -47,7 +47,6 @@ class TestTrainConfig:
         assert (cfg.decay_factor, cfg.decay_interval, cfg.decay_start) == (0.1, 40, 80)
         assert cfg.strategy == "high"
         assert cfg.bank_momentum == 0.5
-        assert cfg.include_self
 
     def test_desk_preset_overrides(self):
         cfg = preset_config("desk").train
@@ -61,8 +60,7 @@ class TestTrainConfig:
         dict(margin=0.0), dict(tau=0.0), dict(learning_rate=-1e-3),
         dict(adapt_learning_rate=-1e-3), dict(bank_momentum=1.0),
         dict(neighbors=0), dict(rounds=0), dict(epochs_per_round=-1),
-        dict(strategy="middle"),
-        dict(self_terms_for_unselected=True, include_self=False),
+        dict(strategy="middle"), dict(seed=-1),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
@@ -205,11 +203,6 @@ class TestAdapt:
                 for s in ("high", "low", "random")}
         assert not _params_equal(runs["high"], runs["low"])
         assert not _params_equal(runs["high"], runs["random"])
-
-    def test_self_exclusion_variant_runs(self, target_train, pretrained):
-        _, log, _ = adapt_target(target_train, pretrained,
-                                 _small_cfg(include_self=False))
-        assert all(np.isfinite(r.loss) for r in log.records)
 
     def test_unselected_bank_entries_stay_frozen(self, target_train, pretrained):
         # with the flag off, a sample outside the round-1 selection is never
