@@ -115,8 +115,8 @@ class TestSerialization:
             ExperimentConfig.from_dict({"format_version": 3})
 
     @pytest.mark.parametrize("section,key,value,wanted", [
-        ("train", "self_terms_for_unselected", "no", "true or false"),
-        ("train", "self_terms_for_unselected", 1, "true or false"),
+        pytest.param("train", "self_terms_for_unselected", "no", "true or false", id="train-bool-no"),
+        pytest.param("train", "self_terms_for_unselected", 1, "true or false", id="train-bool-1"),
         ("encoder", "height", 24.0, "an integer"),
         ("train", "pretrain_epochs", 1.5, "an integer"),
         ("train", "seed", True, "an integer"),
