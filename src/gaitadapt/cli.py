@@ -113,7 +113,7 @@ def write_stage(path: Callable[[str], Path], params: EncoderParams, runlog: RunL
     runlog.to_csv(path("runlog.csv"))
     runlog.write_timing(path("timing.txt"))
     for state in rounds:
-        dump_round_diagnostics(path(f"discovery_round{state.round_index}.csv"), state.bank,
+        dump_round_diagnostics(path(f"discovery_round{state.round_index}.csv"), state.ids,
                                state.entropies, state.selected, state.neighbors)
     return checkpoint
 

@@ -308,14 +308,16 @@ _PGM_HEADER = re.compile(rb"P5" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)" + _SEP + r
 def read_pgm(path: str | Path) -> np.ndarray:
     """Read a binary P5 PGM; returns raw byte values as (H, W) uint8.
 
-    Exactly H x W pixel bytes must follow the header.
+    Exactly H x W pixel bytes must follow the header. The file is read into
+    one writable array, and the result is a view of it that callers may
+    change in place.
     """
-    raw = Path(path).read_bytes()
-    header = _PGM_HEADER.match(raw)
+    raw = np.fromfile(path, dtype=np.uint8)
+    header = _PGM_HEADER.match(memoryview(raw))
     if header is None or header[3] != b"255":
         raise DatasetError(f"{path}: not a maxval-255 P5 PGM")
     w, h = int(header[1]), int(header[2])
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=header.end())
+    pixels = raw[header.end():]
     if pixels.size < w * h:
         raise DatasetError(f"{path}: truncated pixel data")
     if pixels.size > w * h:
@@ -453,15 +455,17 @@ def _read_split(manifest: DatasetManifest, split: str) -> list[SilhouetteSequenc
             f"sample {last}: split file {path} has shape {raw.shape},"
             f" expected {ends[-1]} frames of {h}x{w}"
         )
-    frames = (raw == 255).view(np.uint8).reshape(-1, h, w)  # 0/1
-    if np.count_nonzero(frames) != np.count_nonzero(raw):  # a pixel neither 0 nor 255
-        row, col = divmod(int(np.argmax((raw != 0) & (raw != 255))), w)
+    # in place, with uint8 wrap-around: 0 -> 1, 255 -> 0, any other value > 1
+    raw += 1
+    if raw.max() > 1:
+        row, col = divmod(int(np.argmax(raw > 1)), w)
         i = bisect_right(ends, row // h)
         frame = row // h - (ends[i] - records[i].frame_count)
         raise DatasetError(
             f"sample {records[i].sample_id}: frame {frame} has non-binary pixel value"
-            f" {int(raw[row, col])}"
+            f" {int(raw[row, col]) - 1}"
         )
+    frames = np.subtract(1, raw, out=raw).reshape(-1, h, w)  # 0/1
     return [
         SilhouetteSequence(
             frames=frames[end - rec.frame_count:end],

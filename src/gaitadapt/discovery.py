@@ -6,8 +6,9 @@ anchor selection (round r of R trains on the top r/R fraction).
 
 scan_bank makes one pass per round over the bank-against-bank
 similarities, in blocks of BLOCK_ROWS rows, so no N x N array is ever
-held: each block's product gives both the k nearest neighbors and the
-entropies. A round's state is index arrays over the bank; sample ids
+held: each block's product gives both the k nearest neighbors and, over
+the temperature, the entropies (losses.row_entropies, one exponential per
+similarity). A round's state is index arrays over the bank; sample ids
 appear only in the diagnostics CSV and in the id-keyed wrappers
 (discover_neighborhoods, rank_and_select).
 """
@@ -17,18 +18,21 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .encoder import EncoderParams, SilhouetteSequence, encode_sequences
-from .losses import log_softmax_scores, row_entropies
+from .losses import row_entropies
 from .numerics import NORM_EPS, DegenerateInputError
 
 STRATEGIES = ("high", "low", "random")
 
 # Bank rows per block of the similarity pass: a block holds BLOCK_ROWS x N
-# similarities (4 MB at N = 2 000).
-BLOCK_ROWS = 256
+# similarities (2 MB at N = 2 000), and the entropy kernel one more array of
+# that size. Blocks of 7 rows or more give the same bits as one whole-bank
+# block; a 1-row block takes BLAS's vector path and does not.
+BLOCK_ROWS = 128
 
 
 @dataclass
@@ -160,11 +164,14 @@ def scan_bank(bank: MemoryBank, k: int, tau: float) -> tuple[np.ndarray, np.ndar
     finds none. entropies[i] is the entropy of sample i's softmax row over
     the whole bank at temperature tau, its own entry included. Each block
     of rows is one product, which the neighbor search reads with the
-    diagonal masked and the entropy then reuses with the diagonal restored.
+    diagonal masked and the entropy then reuses, diagonal restored and
+    scaled by 1/tau in place.
     """
     n = bank.size
     if not 0 <= k < n:
         raise ValueError(f"k = {k} must be in [0, {n}) for a bank of size {n}")
+    if not tau > 0:
+        raise ValueError(f"temperature must be positive, got {tau!r}")
     neighbors = np.empty((n, k), dtype=np.intp)
     h = np.empty(n, dtype=np.float64)
     for lo, hi in _row_blocks(n):
@@ -175,7 +182,8 @@ def scan_bank(bank: MemoryBank, k: int, tau: float) -> tuple[np.ndarray, np.ndar
         if k:
             neighbors[lo:hi] = _top_k(sims, bank.id_rank, k)
         sims[diag] = own
-        h[lo:hi] = row_entropies(log_softmax_scores(sims, tau))
+        sims /= tau
+        h[lo:hi] = row_entropies(sims, overwrite=True)
     return neighbors, h
 
 
@@ -263,24 +271,23 @@ def rank_and_select(
 
 def dump_round_diagnostics(
     path: str | Path,
-    bank: MemoryBank,
+    ids: Sequence[str],
     entropies: np.ndarray,
     selected: np.ndarray,
     neighbors: np.ndarray,
 ) -> None:
     """One row per sample, in id order: id, entropy, selected flag, neighbor ids.
 
-    entropies, selected and neighbors are scan_bank and curriculum_order
-    results over this bank's indices.
+    ids[i] is the sample at bank index i; entropies, selected and neighbors
+    are scan_bank and curriculum_order results over those indices.
     """
-    chosen = np.zeros(bank.size, dtype=bool)
+    chosen = np.zeros(len(ids), dtype=bool)
     chosen[selected] = True
-    ids = bank.ids
     h, flags, hoods = entropies.tolist(), chosen.tolist(), neighbors.tolist()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["sample_id", "entropy", "selected", "neighbor_ids"])
-        for i in np.argsort(bank.id_rank).tolist():
+        for i in sorted(range(len(ids)), key=ids.__getitem__):
             w.writerow([
                 ids[i],
                 repr(h[i]),

@@ -92,7 +92,11 @@ class SilhouetteSequence:
         f = np.asarray(self.frames)
         if f.ndim != 3 or f.shape[0] < 1:
             raise ValueError(f"frames must be (K>=1, H, W), got shape {f.shape}")
-        if not ((f == 0) | (f == 1)).all():
+        if f.dtype == np.uint8:  # never negative: one pass (loaded splits are uint8)
+            binary = f.size == 0 or f.max() <= 1
+        else:
+            binary = ((f == 0) | (f == 1)).all()
+        if not binary:
             raise ValueError(f"sample {self.sample_id}: frames must be binary 0/1")
         self.frames = f.astype(np.uint8, copy=False)
 

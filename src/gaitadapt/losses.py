@@ -5,11 +5,10 @@ non-parametric softmax row with its entropy (the confidence indicator for
 anchor ranking), and the neighborhood loss that pulls an anchor toward the
 stored entries of its discovered neighbors.
 
-The softmax, entropy and neighborhood loss run on batches of anchors in
-log space (log_softmax_rows, row_entropies, neighborhood_loss);
-softmax_row, entropy and anchor_neighborhood_loss are batches of one.
-log_softmax_scores is the softmax step alone, for scores already computed
-(the bank scan reuses its similarity blocks through it).
+The softmax, entropy and neighborhood loss run on batches of anchors
+(log_softmax_rows, row_entropies, neighborhood_loss); softmax_row, entropy
+and anchor_neighborhood_loss are batches of one. row_entropies takes any
+row scores, so the bank scan runs it on its similarity blocks directly.
 """
 
 from __future__ import annotations
@@ -88,18 +87,9 @@ def log_softmax_rows(anchors: np.ndarray, bank: "MemoryBank", tau: float) -> np.
     of similarities over tau. Working in log space keeps a probability that
     underflows to 0 usable as a finite log-probability.
     """
-    z = np.asarray(anchors, dtype=np.float64) @ bank.entries.T
-    return log_softmax_scores(z, tau)
-
-
-def log_softmax_scores(z: np.ndarray, tau: float) -> np.ndarray:
-    """Max-shifted log-softmax of each row of similarities over tau, in place.
-
-    Returns z. A score of -inf gets log-probability -inf; every row needs
-    at least one finite score.
-    """
     if not tau > 0:
         raise ValueError(f"temperature must be positive, got {tau!r}")
+    z = np.asarray(anchors, dtype=np.float64) @ bank.entries.T
     m = z.max(axis=1, keepdims=True)
     if not np.all(np.isfinite(m)):
         raise ValueError("softmax needs at least one finite score")
@@ -109,14 +99,25 @@ def log_softmax_scores(z: np.ndarray, tau: float) -> np.ndarray:
     return z
 
 
-def row_entropies(log_probs: np.ndarray) -> np.ndarray:
-    """Natural-log entropy of each row of log-probabilities, (B,).
+def row_entropies(scores: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Natural-log entropy of the softmax of each row of scores, (B,).
 
-    Entries of probability zero contribute nothing (0 log 0 = 0).
+    With z' = z - max(z) and p = exp(z'), H = log sum p - sum p z' / sum p:
+    one exponential per score. Both terms are non-negative, so H >= 0. A
+    score of -inf, or one whose p underflows, contributes nothing
+    (0 log 0 = 0); every row needs at least one finite score. Log-
+    probabilities are scores too, so this is also their entropy. With
+    overwrite, z' is formed in scores itself, which saves one array of
+    its size; the result is the same bits either way.
     """
-    terms = np.exp(log_probs)
-    np.multiply(terms, log_probs, out=terms, where=terms > 0.0)
-    return -terms.sum(axis=1)
+    m = scores.max(axis=1, keepdims=True)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("softmax needs at least one finite score")
+    z = np.subtract(scores, m, out=scores if overwrite else None)
+    p = np.exp(z)
+    z[p == 0.0] = 0.0
+    total = p.sum(axis=1)
+    return np.log(total) - np.einsum("ij,ij->i", p, z) / total
 
 
 def neighborhood_loss(

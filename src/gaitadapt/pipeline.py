@@ -19,7 +19,6 @@ from .data import sample_pk_batch
 from .discovery import (
     STRATEGIES,
     CurriculumSchedule,
-    MemoryBank,
     build_bank,
     curriculum_order,
     scan_bank,
@@ -191,13 +190,15 @@ def pretrain_source(
 class RoundState:
     """What a completed adaptation round leaves behind, for diagnostics.
 
+    ids[i] is the sample at bank index i, one tuple shared by every round.
     The arrays index the round's bank: neighbors (N, k) and entropies (N,)
     as discovered at the start of the round, and the selected anchors in
-    selection order. The bank holds its entries at the end of the round.
+    selection order. The bank itself is not kept, so a finished round holds
+    no N x d array and only one bank is alive at a time.
     """
 
     round_index: int  # 1-based
-    bank: MemoryBank
+    ids: tuple[str, ...]
     neighbors: np.ndarray
     entropies: np.ndarray
     selected: np.ndarray
@@ -224,6 +225,7 @@ def adapt_target(
         )
     params = params.copy()
     n = len(seqs)
+    ids = tuple(s.sample_id for s in seqs)
     log = RunLog()
     rounds: list[RoundState] = []
     epoch_global = 0
@@ -270,6 +272,7 @@ def adapt_target(
             log.add(stage="adapt", round_index=r, epoch=epoch_global,
                     loss=epoch_loss / len(pool),
                     learning_rate=lr, wall_time=time.perf_counter() - t0)
-        rounds.append(RoundState(r, bank, neighbors, h, selected))
+        rounds.append(RoundState(r, ids, neighbors, h, selected))
+        del bank  # before the next round builds its own
     return params, log, rounds
 

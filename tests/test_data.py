@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,22 @@ class TestGeneration:
             vals = np.unique(s.frames)
             assert np.all(np.isin(vals, (0, 1)))
             assert s.frames.sum() > 0
+
+    def test_split_load_holds_one_copy_of_the_pixels(self, tmp_path):
+        # the split file is read into one buffer and made 0/1 in place: the
+        # traced peak of a load stays near one file's size, not two
+        spec = tiny_domain_spec("L", identities=8, test_identities=1, frames=8,
+                                height=64, width=64)
+        generate_domain(spec, tmp_path, domain="t", seed=3)
+        size = (tmp_path / "train.pgm").stat().st_size
+        tracemalloc.start()
+        try:
+            ds = load_dataset(tmp_path, split="train")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(s.frames.size for s in ds.sequences) > 0.99 * size
+        assert peak < 1.25 * size
 
     def test_every_frame_has_foreground(self, tmp_path):
         # erosion-heavy style must still leave at least one pixel per frame

@@ -19,7 +19,7 @@ from gaitadapt.discovery import (
     update_bank,
 )
 from gaitadapt.encoder import SilhouetteSequence, encode_sequence, init_params
-from gaitadapt.losses import entropy, log_softmax_rows, row_entropies, softmax_row
+from gaitadapt.losses import entropy, row_entropies, softmax_row
 from gaitadapt.numerics import DegenerateInputError, make_rng, seed_stream
 
 from conftest import SMALL_SHAPE, random_sequences, random_unit_rows
@@ -239,16 +239,43 @@ class TestBlockedPass:
                 assert h[i] == pytest.approx(entropy(row), abs=1e-12), (tau, i)
 
     def test_scan_entropies_equal_blockwise_softmax_bitwise(self):
-        # the one-product scan keeps the separate entropy pass's values exactly
+        # the scan's entropies are the kernel's on each block of scores,
+        # bit for bit, whatever the neighbor search did to the block first
         bank = _tied_bank()
         for tau in (0.05, 1e-3):
             want = np.concatenate([
-                row_entropies(log_softmax_rows(bank.entries[lo:lo + BLOCK_ROWS], bank, tau))
+                row_entropies(bank.entries[lo:lo + BLOCK_ROWS] @ bank.entries.T / tau)
                 for lo in range(0, bank.size, BLOCK_ROWS)])
             for k in (0, 1, 4, 9):
                 _, h = scan_bank(bank, k, tau)
                 assert np.array_equal(h, want), (tau, k)
             assert np.array_equal(bank_entropies(bank, tau), want)
+
+
+def _oracle_entropies(bank, tau):
+    """-sum p log p of every row's softmax, in extended precision."""
+    e = bank.entries.astype(np.longdouble)
+    h = []
+    for i in range(bank.size):
+        z = (e @ e[i]) / tau
+        p = np.exp(z - z.max())
+        p /= p.sum()
+        p = p[p > 0]
+        h.append(-(p * np.log(p)).sum())
+    return np.array(h, dtype=np.longdouble)
+
+
+class TestEntropyOracle:
+    """The one-exponential kernel against -sum p log p in extended precision."""
+
+    @pytest.mark.parametrize("tau", [1.0, 0.05, 0.02, 1e-3])
+    @pytest.mark.parametrize("which", ["tied", "random"])
+    def test_scan_matches_oracle(self, which, tau):
+        bank = _tied_bank() if which == "tied" else _unit_bank(make_rng(21), 400, d=16)
+        want = _oracle_entropies(bank, tau)
+        for h in (scan_bank(bank, 3, tau)[1], bank_entropies(bank, tau)):
+            assert np.abs(h - want).max() <= 1e-12, (which, tau)
+            assert np.all(h >= 0.0) and np.all(h <= np.log(bank.size))
 
 
 class TestCurriculumSchedule:
@@ -352,7 +379,7 @@ class TestRoundDiagnostics:
         neighbors, h = scan_bank(bank, 1, 1.0)
         selected = [bank.index[sid] for sid in sched.selected]
         path = tmp_path / "round1.csv"
-        dump_round_diagnostics(path, bank, h, selected, neighbors)
+        dump_round_diagnostics(path, bank.ids, h, selected, neighbors)
 
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -371,6 +398,6 @@ class TestRoundDiagnostics:
         bank = _unit_bank(rng, 6)
         neighbors, h = scan_bank(bank, 2, 0.1)
         selected = curriculum_order(h, bank.id_rank, "low", rng)[:3]
-        dump_round_diagnostics(tmp_path / "a.csv", bank, h, selected, neighbors)
-        dump_round_diagnostics(tmp_path / "b.csv", bank, h, selected, neighbors)
+        dump_round_diagnostics(tmp_path / "a.csv", bank.ids, h, selected, neighbors)
+        dump_round_diagnostics(tmp_path / "b.csv", bank.ids, h, selected, neighbors)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

@@ -189,6 +189,21 @@ class TestForward:
         with pytest.raises(ValueError, match="binary"):
             SilhouetteSequence(frames=frames, sample_id="x-nm-01-000")
 
+    @pytest.mark.parametrize("bad,dtype", [(2, np.uint8), (255, np.uint8), (-1, np.int64),
+                                           (0.5, np.float64), (2, np.int8)])
+    def test_any_dtype_with_a_nonbinary_pixel_is_refused(self, bad, dtype):
+        frames = np.zeros((2, 4, 4), dtype=dtype)
+        frames[1, 3, 2] = bad
+        with pytest.raises(ValueError, match="sample x-nm-01-000: frames must be binary 0/1"):
+            SilhouetteSequence(frames=frames, sample_id="x-nm-01-000")
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64, bool])
+    def test_binary_frames_of_any_dtype_become_uint8(self, dtype):
+        frames = np.eye(4, dtype=dtype)[None].repeat(2, axis=0)
+        seq = SilhouetteSequence(frames=frames, sample_id="x-nm-01-000")
+        assert seq.frames.dtype == np.uint8
+        assert np.array_equal(seq.frames, np.eye(4)[None].repeat(2, axis=0))
+
 
 class TestBackward:
     def test_gradient_matches_finite_differences(self):

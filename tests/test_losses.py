@@ -332,6 +332,16 @@ class TestBatchedPath:
             assert h[b] == pytest.approx(entropy(row), abs=1e-12)
             assert np.all(np.isfinite(log_probs[b]))
 
+    def test_entropies_leave_scores_alone_unless_overwritten(self):
+        bank, rng = self._bank()
+        scores = rng.standard_normal((4, bank.size)) * 30.0
+        scores[1, 3] = -np.inf
+        kept = scores.copy()
+        h = row_entropies(scores)
+        assert np.array_equal(scores, kept)
+        assert np.array_equal(row_entropies(scores, overwrite=True), h)
+        assert np.all(h >= 0.0) and np.all(h <= np.log(bank.size))
+
     def test_loss_matches_per_anchor_api(self):
         bank, rng = self._bank()
         anchors = rng.standard_normal((3, 5))

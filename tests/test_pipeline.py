@@ -9,6 +9,7 @@ from gaitadapt.config import preset_config
 from gaitadapt.data import load_dataset
 from gaitadapt.discovery import build_bank
 from gaitadapt.encoder import init_params
+from gaitadapt import pipeline
 from gaitadapt.numerics import seed_stream
 from gaitadapt.pipeline import (
     RunLog,
@@ -204,33 +205,78 @@ class TestAdapt:
         assert not _params_equal(runs["high"], runs["low"])
         assert not _params_equal(runs["high"], runs["random"])
 
-    def test_unselected_bank_entries_stay_frozen(self, target_train, pretrained):
+    def test_unselected_bank_entries_stay_frozen(self, target_train, pretrained,
+                                                 monkeypatch):
         # with the flag off, a sample outside the round-1 selection is never
         # re-encoded, so its bank entry keeps the round-start value; two
         # epochs so that selected entries meet a moved encoder and change
         cfg = _small_cfg(rounds=2, epochs_per_round=2)
+        banks = _capture_banks(monkeypatch)
         _, _, rounds = adapt_target(target_train, pretrained, cfg)
         start = build_bank(target_train, pretrained, cfg.bank_momentum)
-        state = rounds[0]
+        state, bank = rounds[0], banks[0]  # the bank holds its end-of-round entries
         chosen = set(state.selected.tolist())
         for i, sid in enumerate(start.ids):
-            same = np.array_equal(state.bank.entries[i], start.entries[i])
+            same = np.array_equal(bank.entries[i], start.entries[i])
             assert same == (i not in chosen), sid
 
-    def test_self_terms_update_every_entry(self, target_train, pretrained):
+    def test_self_terms_update_every_entry(self, target_train, pretrained, monkeypatch):
         cfg = _small_cfg(rounds=2, epochs_per_round=2,
                          self_terms_for_unselected=True)
+        banks = _capture_banks(monkeypatch)
         _, _, rounds = adapt_target(target_train, pretrained, cfg)
         start = build_bank(target_train, pretrained, cfg.bank_momentum)
-        state = rounds[0]
+        state, bank = rounds[0], banks[0]  # the bank holds its end-of-round entries
         for i, sid in enumerate(start.ids):
-            assert not np.array_equal(state.bank.entries[i], start.entries[i]), sid
+            assert not np.array_equal(bank.entries[i], start.entries[i]), sid
+
+    def test_rounds_hold_no_bank_sized_array(self, target_train, pretrained):
+        # a finished round keeps index arrays and the shared ids, nothing
+        # as large as the N x d bank entries, however deeply it is nested
+        _, _, rounds = adapt_target(target_train, pretrained, _small_cfg())
+        limit = len(target_train) * PIPE_SHAPE.embed_dim
+        for state in rounds:
+            for name, value in vars(state).items():
+                for arr in _arrays_within(value):
+                    assert arr.size < limit, (state.round_index, name, arr.shape)
+        assert all(state.ids is rounds[0].ids for state in rounds)
+        assert rounds[0].ids == tuple(s.sample_id for s in target_train)
 
     def test_rejects_tiny_banks(self, pretrained, target_train):
         with pytest.raises(ValueError, match="at least 2"):
             adapt_target(target_train[:1], pretrained, _small_cfg())
         with pytest.raises(ValueError, match="neighbors"):
             adapt_target(target_train[:3], pretrained, _small_cfg(neighbors=3))
+
+
+def _capture_banks(monkeypatch):
+    """Record every bank adapt_target builds; adaptation updates each in place."""
+    banks = []
+
+    def capture(*args, **kw):
+        banks.append(build_bank(*args, **kw))
+        return banks[-1]
+
+    monkeypatch.setattr(pipeline, "build_bank", capture)
+    return banks
+
+
+def _arrays_within(value, seen=None):
+    """Every NumPy array reachable from value through attributes and containers."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays_within(item, seen)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays_within(item, seen)
+    elif hasattr(value, "__dict__"):
+        yield from _arrays_within(vars(value), seen)
 
 
 class TestRunLog:
