@@ -27,13 +27,12 @@ from .config import (
     ExperimentConfig,
     apply_overrides,
     load_config,
-    preset_config,
     save_config,
 )
 from .data import DatasetError, generate_domain, load_dataset
 from .discovery import STRATEGIES, dump_round_diagnostics
 from .encoder import EncoderParams, encode_sequences, load_checkpoint, save_checkpoint
-from .evaluation import ProtocolError, make_protocol, rank1
+from .evaluation import ProtocolError, check_protocol, make_protocol, rank1
 from .files import write_json
 from .pipeline import RoundState, RunLog, adapt_target, pretrain_source
 
@@ -69,7 +68,7 @@ def run_scope(args, verb: str, args_doc: dict) -> Iterator[Run]:
     snapshots. On any exception every registered output moves to failed/;
     on success the run_complete marker is written.
     """
-    cfg = load_config(args.config) if args.config else preset_config(args.preset)
+    cfg = load_config(args.config) if args.config else ExperimentConfig()
     cfg = apply_overrides(cfg, seed=args.seed, strategy=args.strategy).check_batches()
     out = Path(args.out)
     marker = out / COMPLETE_MARKER
@@ -166,6 +165,7 @@ def _evaluate_checkpoint(checkpoint_path, data_root, convention, gallery_size) -
 
 
 def cmd_eval(args) -> None:
+    check_protocol(args.convention, args.gallery_size)  # before --out is claimed
     with run_scope(args, "eval", {
         "out": str(args.out), "data": str(args.data),
         "checkpoint": str(args.checkpoint), "convention": args.convention,
@@ -296,9 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p, data=False, checkpoint=False):
-        p.add_argument("--config", help="experiment config JSON")
-        p.add_argument("--preset", choices=["paper", "desk"], default="desk",
-                       help="base preset when no --config is given (default desk)")
+        p.add_argument("--config", help="experiment config JSON (default: the desk recipe)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, help="override the experiment seed")
         p.add_argument("--strategy", choices=STRATEGIES,

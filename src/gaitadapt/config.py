@@ -24,8 +24,6 @@ CONFIG_VERSION = 1
 _SCALAR_KINDS = {
     "int": ("an integer", lambda v: type(v) is int),
     "float": ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
-    "float | None": ("a finite number or null",
-                     lambda v: v is None or type(v) in (int, float) and math.isfinite(v)),
     "bool": ("true or false", lambda v: type(v) is bool),
 }
 
@@ -53,12 +51,6 @@ def default_target_spec() -> DomainSpec:
     )
 
 
-def paper_source_spec() -> DomainSpec:
-    """The default source with CASIA-B's walks per view (6 NM, 2 BG, 2 CL),
-    enough sequences per identity for the reference batch_k of 16."""
-    return dataclasses.replace(default_source_spec(), walks={"NM": 6, "BG": 2, "CL": 2})
-
-
 def separable_source_spec() -> DomainSpec:
     """Source with no walk-to-walk variation at all: every repeat of a walk
     is the same pixels up to condition. Used for pretraining sanity runs."""
@@ -74,6 +66,10 @@ def default_encoder_shape() -> EncoderShape:
 
 @dataclass
 class ExperimentConfig:
+    """Encoder shape, training recipe and both domain specs. Every field
+    defaults to the desk recipe, so a partial document fills the rest from
+    it."""
+
     encoder: EncoderShape = field(default_factory=default_encoder_shape)
     train: TrainConfig = field(default_factory=TrainConfig)
     source: DomainSpec = field(default_factory=default_source_spec)
@@ -135,28 +131,11 @@ def _check_scalars(section: str, kind: type, values: dict) -> None:
 
 
 def preset_config(name: str) -> ExperimentConfig:
-    """'desk' is the minutes-scale CPU recipe; 'paper' the reference recipe.
-
-    The desk recipe's small encoder wants larger steps, a wider margin to
-    spread the embedding cone, and a colder softmax so that entropy
-    resolves clump structure at a 200-sample bank.
-    """
+    """The named built-in recipe. 'desk', the minutes-scale CPU recipe, is
+    the only one, and it is the defaults."""
     if name == "desk":
-        return ExperimentConfig(train=TrainConfig(
-            margin=0.8,
-            tau=0.02,
-            epochs_per_round=20,
-            pretrain_epochs=250,
-            batch_p=4,
-            batch_k=4,
-            learning_rate=1e-2,
-            adapt_learning_rate=1e-3,
-            decay_start=150,
-            decay_interval=50,
-        ))
-    if name == "paper":
-        return ExperimentConfig(train=TrainConfig(), source=paper_source_spec())
-    raise ConfigError(f"unknown preset {name!r}, expected 'paper' or 'desk'")
+        return ExperimentConfig()
+    raise ConfigError(f"unknown preset {name!r}, expected 'desk'")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -112,14 +112,10 @@ def update_bank(
 @dataclass(frozen=True)
 class Neighborhood:
     """An anchor and its k most-similar bank entries (anchor itself excluded
-    from neighbor_ids but counted as a member)."""
+    from neighbor_ids)."""
 
     anchor_id: str
     neighbor_ids: tuple[str, ...]
-
-    @property
-    def member_count(self) -> int:
-        return len(self.neighbor_ids) + 1
 
 
 def _row_blocks(n: int):

@@ -36,6 +36,14 @@ class EvalProtocol:
         return replace(self, exclude_identical_view=flag)
 
 
+def check_protocol(convention: str, gallery_size: int) -> None:
+    """Raise ProtocolError for an unknown convention or a gallery size below 1."""
+    if convention not in CONVENTIONS:
+        raise ProtocolError(f"unknown convention {convention!r}, expected {CONVENTIONS}")
+    if gallery_size < 1:
+        raise ProtocolError(f"gallery size must be >= 1, got {gallery_size!r}")
+
+
 def make_protocol(
     test_seqs: list[SilhouetteSequence],
     convention: str = "first-n-gallery",
@@ -50,10 +58,7 @@ def make_protocol(
     skipped and reported. The protocol keeps identical views; call
     with_exclusion(True) for the variant that excludes them.
     """
-    if convention not in CONVENTIONS:
-        raise ProtocolError(f"unknown convention {convention!r}, expected {CONVENTIONS}")
-    if gallery_size < 1:
-        raise ProtocolError(f"gallery size must be >= 1, got {gallery_size!r}")
+    check_protocol(convention, gallery_size)
     by_id: dict[str, list[SilhouetteSequence]] = {}
     for s in sorted(test_seqs, key=lambda s: s.sample_id):
         if s.identity is None:

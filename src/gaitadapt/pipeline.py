@@ -43,24 +43,30 @@ _ROLE_ADAPT = 12
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """All training hyperparameters. Defaults follow the reference recipe;
-    config.preset_config("desk") swaps in values sized for minutes-long CPU
-    runs."""
+    """All training hyperparameters, sized for minutes-long CPU runs.
 
-    margin: float = 0.2
-    tau: float = 0.1
+    The paper's reference recipe pretrains on 8 x 16 batches at margin 0.2
+    and a rate of 1e-5, with tau 0.1 and 200 epochs per stage. This small
+    encoder learns nothing at that rate (source-test rank-1 0.794 before
+    and after 200 epochs), so the defaults take larger steps, a wider
+    margin to spread the embedding cone, and a colder softmax so that
+    entropy resolves clump structure at a 200-sample bank.
+    """
+
+    margin: float = 0.8
+    tau: float = 0.02
     neighbors: int = 1          # k nearest neighbors per anchor
     rounds: int = 4             # curriculum rounds R
-    epochs_per_round: int = 200
-    pretrain_epochs: int = 200
-    batch_p: int = 8            # identities per pretraining batch
-    batch_k: int = 16           # sequences per identity
+    epochs_per_round: int = 20
+    pretrain_epochs: int = 250
+    batch_p: int = 4            # identities per pretraining batch
+    batch_k: int = 4            # sequences per identity
     adapt_batch_size: int = 16  # anchors per adaptation batch
-    learning_rate: float = 1e-5
-    adapt_learning_rate: float | None = None  # None: reuse learning_rate
+    learning_rate: float = 1e-2
+    adapt_learning_rate: float = 1e-3
     decay_factor: float = 0.1
-    decay_interval: int = 40
-    decay_start: int = 80       # last epoch at the initial rate
+    decay_interval: int = 50
+    decay_start: int = 150      # last epoch at the initial rate
     strategy: str = "high"
     bank_momentum: float = 0.5
     self_terms_for_unselected: bool = False  # unselected: AND's instance term -log p_ii
@@ -71,11 +77,9 @@ class TrainConfig:
             raise ValueError(f"margin must be > 0, got {self.margin!r}")
         if not self.tau > 0:
             raise ValueError(f"tau must be > 0, got {self.tau!r}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate!r}")
-        if self.adapt_learning_rate is not None and self.adapt_learning_rate < 0:
-            raise ValueError(
-                f"adapt_learning_rate must be >= 0 or None, got {self.adapt_learning_rate!r}")
+        for name in ("learning_rate", "adapt_learning_rate"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if not 0.0 <= self.bank_momentum < 1.0:
             raise ValueError(f"bank momentum must be in [0, 1), got {self.bank_momentum!r}")
         for name in ("neighbors", "rounds", "batch_p", "batch_k", "adapt_batch_size",
@@ -128,14 +132,11 @@ class RunLog:
 
 def lr_at(epoch: int, cfg: TrainConfig, stage: str = "adapt") -> float:
     """Stepped decay: initial rate through decay_start, then one decay_factor
-    per decay_interval starting at epoch decay_start + 1. Adaptation may run
+    per decay_interval starting at epoch decay_start + 1. Adaptation runs
     at its own base rate (adapt_learning_rate) under the same schedule."""
     if epoch < 1:
         raise ValueError(f"epoch must be >= 1, got {epoch}")
-    if stage == "adapt" and cfg.adapt_learning_rate is not None:
-        base = cfg.adapt_learning_rate
-    else:
-        base = cfg.learning_rate
+    base = cfg.adapt_learning_rate if stage == "adapt" else cfg.learning_rate
     if epoch <= cfg.decay_start:
         return base
     steps = 1 + (epoch - cfg.decay_start - 1) // cfg.decay_interval

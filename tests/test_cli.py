@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -50,6 +51,19 @@ def data_dir(cfg_file, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def desk_data_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli_desk") / "run"
+    assert main(["gen-data", "--out", str(out)]) == 0
+    return out
+
+
+def _outputs(out: Path) -> dict[str, bytes]:
+    """Every file a run wrote except run_args.json, which names --out."""
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "run_args.json"}
+
+
+@pytest.fixture(scope="module")
 def pretrain_dir(cfg_file, data_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_pre") / "run"
     rc = main(["pretrain", "--config", str(cfg_file), "--out", str(out),
@@ -80,6 +94,16 @@ class TestParser:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "gen-data" in proc.stdout and "ablate" in proc.stdout
+
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        commands = [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("gaitadapt ")]
+        assert [argv[0] for argv in commands] == ["gen-data", "pretrain", "adapt", "eval",
+                                                  "ablate"]
+        for argv in commands:
+            build_parser().parse_args(argv)  # a stale flag exits here
 
 
 class TestGenData:
@@ -167,12 +191,35 @@ class TestGenData:
         assert capsys.readouterr().err.startswith("ERROR E_CONFIG: batch_k 7 exceeds")
 
     def test_preset_without_config_resolves(self, tmp_path):
-        # full desk preset is too slow here; just check the config resolution
+        # full desk training is too slow here; just check the config resolution
         out = tmp_path / "p"
-        rc = main(["pretrain", "--preset", "desk", "--out", str(out),
-                   "--data", str(tmp_path / "missing")])
-        assert rc == 1  # missing data, but config resolved through the preset
-        assert load_config(out / "failed" / "resolved_config.json").train.margin == 0.8
+        rc = main(["pretrain", "--out", str(out), "--data", str(tmp_path / "missing")])
+        assert rc == 1  # missing data, but config resolved to the desk recipe
+        save_config(preset_config("desk"), tmp_path / "desk.json")
+        assert ((out / "failed" / "resolved_config.json").read_bytes()
+                == (tmp_path / "desk.json").read_bytes())
+
+    def test_empty_config_is_the_run_without_config(self, desk_data_dir, tmp_path):
+        (tmp_path / "empty.json").write_text("{}")
+        out = tmp_path / "empty"
+        assert main(["gen-data", "--config", str(tmp_path / "empty.json"),
+                     "--out", str(out)]) == 0
+        assert _outputs(out) == _outputs(desk_data_dir)
+
+    def test_partial_config_differs_from_the_defaults_only_in_its_seed(
+            self, desk_data_dir, tmp_path):
+        (tmp_path / "seed7.json").write_text('{"train": {"seed": 7}}')
+        out, flag = tmp_path / "seed7", tmp_path / "flag7"
+        assert main(["gen-data", "--config", str(tmp_path / "seed7.json"),
+                     "--out", str(out)]) == 0
+        doc = json.loads((out / "resolved_config.json").read_text())
+        assert doc["train"].pop("seed") == 7
+        default = json.loads((desk_data_dir / "resolved_config.json").read_text())
+        assert default["train"].pop("seed") == 1
+        assert doc == default
+        # the same run as the seed flag without a config, to the byte
+        assert main(["gen-data", "--seed", "7", "--out", str(flag)]) == 0
+        assert _outputs(out) == _outputs(flag)
 
 
 class TestPretrain:
@@ -307,6 +354,18 @@ class TestEval:
         assert capsys.readouterr().err.startswith(
             "ERROR E_PROTOCOL: gallery size must be >= 1, got -1")
         assert not (tmp_path / "ev" / "results.json").exists()
+
+    def test_gallery_size_below_one_is_refused_before_out_is_claimed(self, cfg_file,
+                                                                     tmp_path, capsys):
+        # nothing is loaded: a missing checkpoint and dataset do not get reached
+        out = tmp_path / "ev0"
+        rc = main(["eval", "--config", str(cfg_file), "--out", str(out),
+                   "--data", str(tmp_path / "missing"),
+                   "--checkpoint", str(tmp_path / "missing.json"), "--gallery-size", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "ERROR E_PROTOCOL: gallery size must be >= 1, got 0")
+        assert not out.exists()
 
     def test_reads_only_the_test_split(self, cfg_file, data_dir, pretrain_dir,
                                        tmp_path):

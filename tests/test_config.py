@@ -11,13 +11,13 @@ from gaitadapt.config import (
     default_source_spec,
     default_target_spec,
     load_config,
-    paper_source_spec,
     preset_config,
     save_config,
     separable_source_spec,
 )
 from gaitadapt.data import generate_domain, load_dataset, sample_pk_batch
 from gaitadapt.numerics import make_rng
+from gaitadapt.pipeline import TrainConfig
 
 
 class TestDefaults:
@@ -42,20 +42,16 @@ class TestDefaults:
 
 
 class TestPresets:
-    def test_desk_and_reference_share_encoder_and_target(self):
-        desk, ref = preset_config("desk"), preset_config("paper")
-        assert desk.encoder == ref.encoder
-        assert desk.source == default_source_spec()
-        assert ref.source == paper_source_spec() != desk.source
-        assert dataclasses.replace(ref.source, walks=desk.source.walks) == desk.source
-        assert desk.target == ref.target
-        assert desk.train != ref.train
-        assert desk.train.pretrain_epochs == 250
-        assert ref.train.pretrain_epochs == 200
+    def test_desk_is_the_default_config(self):
+        assert preset_config("desk") == ExperimentConfig(
+            encoder=default_encoder_shape(), train=TrainConfig(),
+            source=default_source_spec(), target=default_target_spec())
 
-    @pytest.mark.parametrize("name", ["desk", "paper"])
-    def test_every_preset_draws_a_batch_from_its_own_source(self, name, tmp_path):
-        cfg = preset_config(name)
+    @pytest.mark.parametrize("cfg", [
+        pytest.param(preset_config("desk"), id="desk"),
+        pytest.param(ExperimentConfig.from_dict({}), id="empty-document"),
+    ])
+    def test_every_preset_draws_a_batch_from_its_own_source(self, cfg, tmp_path):
         generate_domain(cfg.source, tmp_path, "source", seed=1)
         train = load_dataset(tmp_path).split("train")
         batch = sample_pk_batch(train, cfg.train.batch_p, cfg.train.batch_k, make_rng(1))
@@ -73,8 +69,9 @@ class TestPresets:
             cfg.check_batches()
 
     def test_unknown_preset(self):
-        with pytest.raises(ConfigError, match="unknown preset"):
-            preset_config("bench")
+        for name in ("bench", "paper"):
+            with pytest.raises(ConfigError, match=f"unknown preset '{name}', expected 'desk'"):
+                preset_config(name)
 
 
 class TestSerialization:
@@ -90,15 +87,17 @@ class TestSerialization:
         assert back.target == cfg.target
 
     def test_save_is_deterministic(self, tmp_path):
-        cfg = preset_config("paper")
+        cfg = ExperimentConfig(train=TrainConfig(margin=0.2, tau=0.1, batch_p=8, batch_k=16,
+                                                 learning_rate=1e-5))
         save_config(cfg, tmp_path / "a.json")
         save_config(cfg, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_partial_document_fills_defaults(self):
         cfg = ExperimentConfig.from_dict({"train": {"seed": 7}})
-        assert cfg.train.seed == 7
+        assert cfg.train == TrainConfig(seed=7)
         assert cfg.encoder == default_encoder_shape()
+        assert cfg.check_batches() is cfg
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -122,7 +121,8 @@ class TestSerialization:
         ("train", "seed", True, "an integer"),
         ("train", "learning_rate", float("nan"), "a finite number"),
         ("train", "margin", float("inf"), "a finite number"),
-        ("train", "adapt_learning_rate", "0.1", "a finite number or null"),
+        ("train", "adapt_learning_rate", "0.1", "a finite number"),
+        ("train", "adapt_learning_rate", None, "a finite number"),
         ("target", "noise", False, "a finite number"),
     ])
     def test_scalar_field_type_is_checked(self, section, key, value, wanted):
@@ -131,10 +131,11 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=f"^{section}.{key} must be {wanted}, got "):
             ExperimentConfig.from_dict(doc)
 
-    def test_int_accepted_for_float_and_null_for_optional(self):
+    def test_int_accepted_for_float(self):
         doc = preset_config("desk").to_dict()
-        doc["train"].update(margin=1, adapt_learning_rate=None)
-        assert ExperimentConfig.from_dict(doc).train.margin == 1
+        doc["train"].update(margin=1, adapt_learning_rate=0)
+        train = ExperimentConfig.from_dict(doc).train
+        assert (train.margin, train.adapt_learning_rate) == (1, 0)
 
     def test_section_must_be_an_object(self):
         with pytest.raises(ConfigError, match="section train must be an object"):

@@ -8,7 +8,6 @@ from gaitadapt.discovery import (
     BLOCK_ROWS,
     CurriculumSchedule,
     MemoryBank,
-    Neighborhood,
     bank_entropies,
     build_bank,
     curriculum_order,
@@ -170,10 +169,6 @@ class TestDiscoverNeighborhoods:
         perm = rng.permutation(8)
         bank_perm = MemoryBank(tuple(ids[i] for i in perm), entries[perm])
         assert discover_neighborhoods(bank, 3) == discover_neighborhoods(bank_perm, 3)
-
-    def test_member_count_includes_anchor(self):
-        hood = Neighborhood("a", ("b", "c"))
-        assert hood.member_count == 3
 
     def test_k_bounds(self):
         rng = make_rng(5)

@@ -46,8 +46,7 @@ class TestShape:
         assert EncoderShape(24, 24, 8, 16, 3, 112).n_strips == 7
 
     def test_roundtrip(self, tmp_path):
-        for cfg in (preset_config("desk"), preset_config("paper"),
-                    ExperimentConfig(encoder=SMALL_SHAPE)):
+        for cfg in (preset_config("desk"), ExperimentConfig(encoder=SMALL_SHAPE)):
             save_config(cfg, tmp_path / "cfg.json")
             assert load_config(tmp_path / "cfg.json").encoder == cfg.encoder
         save_checkpoint(init_params(SMALL_SHAPE, make_rng(0)), tmp_path / "ck.json")

@@ -7,10 +7,11 @@ import pathlib
 import numpy as np
 import pytest
 
-from gaitadapt.config import load_config, preset_config, save_config
+from gaitadapt.config import ExperimentConfig, load_config, preset_config, save_config
 from gaitadapt.encoder import init_params, load_checkpoint, save_checkpoint
 from gaitadapt.files import read_json, write_json
 from gaitadapt.numerics import seed_stream
+from gaitadapt.pipeline import TrainConfig
 
 from conftest import PIPE_SHAPE
 
@@ -22,7 +23,8 @@ def _params(seed):
 WRITERS = {
     "checkpoint": (save_checkpoint, load_checkpoint, _params(1), _params(2),
                    lambda a, b: all(np.array_equal(a[n], b[n]) for n in a.names())),
-    "config": (save_config, load_config, preset_config("desk"), preset_config("paper"),
+    "config": (save_config, load_config, preset_config("desk"),
+               ExperimentConfig(train=TrainConfig(margin=0.2, learning_rate=1e-5)),
                lambda a, b: a.to_dict() == b.to_dict()),
     "document": (lambda doc, path: write_json(path, doc),
                  lambda path: read_json(path, ValueError),

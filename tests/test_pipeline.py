@@ -37,17 +37,18 @@ def _params_equal(a, b):
 
 
 class TestTrainConfig:
-    def test_reference_defaults(self):
-        cfg = preset_config("paper").train
-        assert (cfg.margin, cfg.tau) == (0.2, 0.1)
+    def test_defaults_are_the_desk_recipe(self):
+        cfg = TrainConfig()
+        assert (cfg.margin, cfg.tau) == (0.8, 0.02)
         assert (cfg.neighbors, cfg.rounds) == (1, 4)
-        assert (cfg.pretrain_epochs, cfg.epochs_per_round) == (200, 200)
-        assert (cfg.batch_p, cfg.batch_k) == (8, 16)
-        assert cfg.learning_rate == 1e-5
-        assert cfg.adapt_learning_rate is None
-        assert (cfg.decay_factor, cfg.decay_interval, cfg.decay_start) == (0.1, 40, 80)
+        assert (cfg.pretrain_epochs, cfg.epochs_per_round) == (250, 20)
+        assert (cfg.batch_p, cfg.batch_k, cfg.adapt_batch_size) == (4, 4, 16)
+        assert (cfg.learning_rate, cfg.adapt_learning_rate) == (1e-2, 1e-3)
+        assert (cfg.decay_factor, cfg.decay_interval, cfg.decay_start) == (0.1, 50, 150)
         assert cfg.strategy == "high"
         assert cfg.bank_momentum == 0.5
+        assert (cfg.self_terms_for_unselected, cfg.seed) == (False, 1)
+        assert preset_config("desk").train == cfg
 
     def test_desk_preset_overrides(self):
         cfg = preset_config("desk").train
@@ -74,7 +75,7 @@ class TestTrainConfig:
 
 class TestLrSchedule:
     def test_reference_boundaries(self):
-        cfg = preset_config("paper").train
+        cfg = TrainConfig(adapt_learning_rate=1e-5, decay_interval=40, decay_start=80)
         for epoch, expected in [(1, 1e-5), (80, 1e-5), (81, 1e-6), (120, 1e-6),
                                 (121, 1e-7), (160, 1e-7), (161, 1e-8)]:
             assert lr_at(epoch, cfg) == pytest.approx(expected, rel=1e-12), epoch
@@ -86,11 +87,6 @@ class TestLrSchedule:
         assert lr_at(151, cfg, stage="adapt") == pytest.approx(1e-4, rel=1e-12)
         assert lr_at(201, cfg, stage="pretrain") == pytest.approx(1e-4, rel=1e-12)
 
-    def test_without_adapt_rate_stages_agree(self):
-        cfg = preset_config("paper").train
-        for e in (1, 81, 200):
-            assert lr_at(e, cfg, "adapt") == lr_at(e, cfg, "pretrain")
-
     def test_never_increases(self):
         cfg = preset_config("desk").train
         rates = [lr_at(e, cfg) for e in range(1, 400)]
@@ -98,7 +94,7 @@ class TestLrSchedule:
 
     def test_rejects_epoch_below_one(self):
         with pytest.raises(ValueError, match="epoch"):
-            lr_at(0, preset_config("paper").train)
+            lr_at(0, TrainConfig())
 
 
 def _small_cfg(**kw):
