@@ -16,7 +16,9 @@ sequences in manifest order with every frame of H x W stacked top to
 bottom. A JSON manifest at the root (format_version 3) lists every
 sequence with its split and frame count; a sequence's frames start at the
 sum of the frame counts of the records before it in its split. A split is
-written, read and validated as one unit.
+written, read and validated as one unit. Once loaded, a split is held one
+bit per pixel: its frames are packed along the width in one buffer, and
+each sequence is a view of it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import SilhouetteSequence
+from .encoder import SilhouetteSequence, pack_frames
 from .files import read_json, replacing, write_json
 from .numerics import seed_stream
 
@@ -435,9 +437,12 @@ def load_manifest(root: str | Path) -> DatasetManifest:
 def _read_split(manifest: DatasetManifest, split: str) -> list[SilhouetteSequence]:
     """The split's sequences from its one file, in manifest order.
 
-    A failure of the whole file names a sample it affects: a missing or
-    unreadable file, a wrong width, and lost or extra rows name the split's
-    last sample. A non-binary pixel names its own sample and frame.
+    The file is read into one buffer and validated in place; the split is
+    then packed in one call, the buffer is dropped, and each sequence views
+    its frames in the packed split. A failure of the whole file names a
+    sample it affects: a missing or unreadable file, a wrong width, and lost
+    or extra rows name the split's last sample. A non-binary pixel names its
+    own sample and frame.
     """
     records = manifest.split(split)
     h, w = manifest.height, manifest.width
@@ -465,10 +470,12 @@ def _read_split(manifest: DatasetManifest, split: str) -> list[SilhouetteSequenc
             f"sample {records[i].sample_id}: frame {frame} has non-binary pixel value"
             f" {int(raw[row, col]) - 1}"
         )
-    frames = np.subtract(1, raw, out=raw).reshape(-1, h, w)  # 0/1
+    np.subtract(1, raw, out=raw)  # 0/1
+    packed = pack_frames(raw.reshape(-1, h, w))
+    del raw
     return [
-        SilhouetteSequence(
-            frames=frames[end - rec.frame_count:end],
+        SilhouetteSequence.from_packed(
+            packed[end - rec.frame_count:end], w,
             sample_id=rec.sample_id,
             identity=rec.identity,
             condition=rec.condition,

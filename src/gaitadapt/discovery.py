@@ -5,10 +5,11 @@ neighborhoods, per-sample entropy ranking, and the progressive round-based
 anchor selection (round r of R trains on the top r/R fraction).
 
 scan_bank makes one pass per round over the bank-against-bank
-similarities, in blocks of BLOCK_ROWS rows, so no N x N array is ever
-held: each block's product gives both the k nearest neighbors and, over
-the temperature, the entropies (losses.row_entropies, one exponential per
-similarity). A round's state is index arrays over the bank; sample ids
+similarities, in row blocks of at most BLOCK_BYTES (and at least 8 rows),
+so no N x N array is ever held and a block does not grow with N below
+N = 8 192: each block's product gives both the k nearest neighbors and,
+over the temperature, the entropies (losses.row_entropies, one exponential
+per similarity). A round's state is index arrays over the bank; sample ids
 appear only in the diagnostics CSV and in the id-keyed wrappers
 (discover_neighborhoods, rank_and_select).
 """
@@ -28,11 +29,18 @@ from .numerics import NORM_EPS, DegenerateInputError
 
 STRATEGIES = ("high", "low", "random")
 
-# Bank rows per block of the similarity pass: a block holds BLOCK_ROWS x N
-# similarities (2 MB at N = 2 000), and the entropy kernel one more array of
-# that size. Blocks of 7 rows or more give the same bits as one whole-bank
-# block; a 1-row block takes BLAS's vector path and does not.
-BLOCK_ROWS = 128
+# Bytes of float64 similarities per block of the similarity pass; the
+# entropy kernel holds one more array of that size. A block is
+# block_rows(N) rows: 32 at N = 2 000, and the whole bank up to N = 256.
+# Blocks of 7 rows or more give the same bits as one whole-bank block; a
+# 1-row block takes BLAS's vector path and does not, so a block never has
+# fewer than 8 rows.
+BLOCK_BYTES = 512 * 1024
+
+
+def block_rows(n: int) -> int:
+    """Bank rows per block of the similarity pass over a bank of n entries."""
+    return max(8, BLOCK_BYTES // (8 * n))
 
 
 @dataclass
@@ -119,8 +127,9 @@ class Neighborhood:
 
 
 def _row_blocks(n: int):
-    for lo in range(0, n, BLOCK_ROWS):
-        yield lo, min(lo + BLOCK_ROWS, n)
+    rows = block_rows(n)
+    for lo in range(0, n, rows):
+        yield lo, min(lo + rows, n)
 
 
 def _top_k(sims: np.ndarray, rank: np.ndarray, k: int) -> np.ndarray:

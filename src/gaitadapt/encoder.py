@@ -9,16 +9,17 @@ one stacked strip.weight (n_strips, strip_dim, channels) and strip.bias
 (n_strips, strip_dim); checkpoints carry format_version 2, and version 1
 (one tensor per strip) is refused.
 
-One batched forward pass (encode_batch) serves training, bank building and
-evaluation; it returns a trace that the hand-written reverse-mode pass
-(encode_backward) reuses. Gradients are validated against central finite
-differences in the test suite.
+A SilhouetteSequence holds its frames one bit per pixel, packed along the
+width. One batched forward pass (encode_batch) unpacks a batch in one call
+and serves training, bank building and evaluation; it returns a trace that
+the hand-written reverse-mode pass (encode_backward) reuses. Gradients are
+validated against central finite differences in the test suite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -77,32 +78,75 @@ class EncoderShape:
         return self.embed_dim // self.n_strips
 
 
+def pack_frames(frames: np.ndarray) -> np.ndarray:
+    """(K, H, W) 0/1 frames as a SilhouetteSequence stores them: one bit per
+    pixel, packed along the width into (K, H, ceil(W/8)) bytes."""
+    return np.packbits(frames, axis=-1)
+
+
+def unpack_frames(packed: np.ndarray, width: int) -> np.ndarray:
+    """(K, H, width) uint8 0/1 frames from their pack_frames bytes."""
+    return np.unpackbits(packed, axis=-1, count=width)
+
+
 @dataclass
 class SilhouetteSequence:
-    """One walk: (K, H, W) binary frames plus its identity/condition/view tags."""
+    """One walk: K binary H x W frames plus its identity/condition/view tags.
 
-    frames: np.ndarray
+    The frames are stored by pack_frames, one bit per pixel; `frames` reads
+    them back as a (K, H, W) uint8 0/1 array.
+    """
+
+    frames: InitVar[np.ndarray]
     sample_id: str
     identity: str | None = None
     condition: str = "NM"
     view: str = "000"
     domain: str = ""
+    packed: np.ndarray = field(init=False, repr=False)
+    height: int = field(init=False)
+    width: int = field(init=False)
 
-    def __post_init__(self):
-        f = np.asarray(self.frames)
+    def __post_init__(self, frames):
+        f = np.asarray(frames)
         if f.ndim != 3 or f.shape[0] < 1:
-            raise ValueError(f"frames must be (K>=1, H, W), got shape {f.shape}")
-        if f.dtype == np.uint8:  # never negative: one pass (loaded splits are uint8)
-            binary = f.size == 0 or f.max() <= 1
+            raise ValueError(
+                f"sample {self.sample_id}: frames must be (K>=1, H, W), got shape {f.shape}")
+        if f.shape[1] < 1 or f.shape[2] < 1:
+            raise ValueError(
+                f"sample {self.sample_id}: frames must be at least 1x1, got shape {f.shape}")
+        if f.dtype == np.uint8:  # never negative: one pass
+            binary = f.max() <= 1
         else:
             binary = ((f == 0) | (f == 1)).all()
         if not binary:
             raise ValueError(f"sample {self.sample_id}: frames must be binary 0/1")
-        self.frames = f.astype(np.uint8, copy=False)
+        self.packed = pack_frames(f.astype(np.uint8, copy=False))
+        self.height, self.width = f.shape[1:]
+
+    @classmethod
+    def from_packed(cls, packed: np.ndarray, width: int, sample_id: str,
+                    identity: str | None = None, condition: str = "NM",
+                    view: str = "000", domain: str = "") -> "SilhouetteSequence":
+        """A sequence over bits that are already packed and checked, kept as
+        given (a view of a loaded split, say): packed must be pack_frames of
+        binary (K>=1, H>=1, width) frames."""
+        seq = cls.__new__(cls)
+        seq.sample_id, seq.identity = sample_id, identity
+        seq.condition, seq.view, seq.domain = condition, view, domain
+        seq.packed, seq.height, seq.width = packed, packed.shape[1], width
+        return seq
 
     @property
     def length(self) -> int:
-        return self.frames.shape[0]
+        return self.packed.shape[0]
+
+
+# Read-only, and set after the class body: there it would be taken for the
+# default value of the init-only `frames` argument.
+SilhouetteSequence.frames = property(
+    lambda seq: unpack_frames(seq.packed, seq.width),
+    doc="(K, H, W) uint8 0/1 frames, unpacked afresh from the stored bits.")
 
 
 def _param_layout(shape: EncoderShape) -> list[tuple[str, tuple[int, ...]]]:
@@ -165,39 +209,54 @@ class EncoderTrace:
     starts: np.ndarray          # (n,) index of each sequence's first frame
     x: np.ndarray               # (F, B, P) band inputs
     u: np.ndarray               # (F, B, C) frame layer output
-    v: np.ndarray               # (F, B, C) mixing layer output
+    stacked: np.ndarray         # (n, Kmax, B, C) mixing layer output by sequence
     pooled: np.ndarray          # (n, B, C) max over each sequence's frames
     strip_means: np.ndarray     # (n, S, C) band means of every strip
     norms: np.ndarray           # (n,) pre-normalization norms
     embeddings: np.ndarray      # (n, d) unit-norm rows
 
 
+def _stack_frames(v: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """(n, Kmax, ...) frames of each sequence from the frame rows of v.
+
+    A view when all lengths are equal. Otherwise a copy in which a shorter
+    sequence repeats its last frame, which changes neither its max nor the
+    first frame that reaches it.
+    """
+    kmax = int(lengths.max())
+    if (lengths == kmax).all():
+        return v.reshape(len(lengths), kmax, *v.shape[1:])
+    return v[starts[:, None] + np.minimum(np.arange(kmax), lengths[:, None] - 1)]
+
+
 def encode_batch(seqs: list[SilhouetteSequence], params: EncoderParams) -> EncoderTrace:
     """Encode a batch in one pass over the stacked frames, max-pool each
     sequence over its own frames, and read all pooled maps out together.
 
-    Every matmul is stacked per frame or per sequence, so an embedding is
-    bitwise independent of frame order and of the rest of the batch: the
-    BLAS kernel, and with it the rounding, can change with the row count of
-    a single large product.
+    The batch's packed frames are unpacked in one call. Every matmul is
+    stacked per frame or per sequence, so an embedding is bitwise
+    independent of frame order and of the rest of the batch: the BLAS
+    kernel, and with it the rounding, can change with the row count of a
+    single large product.
     """
     shape = params.shape
     if len(seqs) == 0:
         raise ValueError("encode_batch needs at least one sequence")
     for seq in seqs:
-        if seq.frames.shape[1:] != (shape.height, shape.width):
+        if (seq.height, seq.width) != (shape.height, shape.width):
             raise ValueError(
-                f"sample {seq.sample_id}: frame shape {seq.frames.shape[1:]} does not"
+                f"sample {seq.sample_id}: frame shape {(seq.height, seq.width)} does not"
                 f" match encoder ({shape.height}, {shape.width})"
             )
     lengths = np.array([seq.length for seq in seqs])
     starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    x = unpack_frames(np.concatenate([seq.packed for seq in seqs]), shape.width)
     # consecutive image rows form a band, so each frame reshapes to (B, P)
-    x = np.concatenate([seq.frames for seq in seqs]).reshape(-1, shape.bands, shape.band_pixels)
-    x = x.astype(np.float64)
+    x = x.reshape(-1, shape.bands, shape.band_pixels).astype(np.float64)
     u = _affine_relu(x, params["frame.weight"], params["frame.bias"])
     v = _affine_relu(u, params["mix.weight"], params["mix.bias"])
-    pooled = np.maximum.reduceat(v, starts, axis=0)
+    stacked = _stack_frames(v, starts, lengths)
+    pooled = stacked.max(axis=1)
 
     # scale s averages the bands of each of its 2^s strips, s = 0..scales-1
     n = len(pooled)
@@ -212,7 +271,7 @@ def encode_batch(seqs: list[SilhouetteSequence], params: EncoderParams) -> Encod
         raise DegenerateInputError(
             f"sample {seqs[i].sample_id}: cannot normalize embedding with norm {norms[i]!r}"
         )
-    return EncoderTrace(starts=starts, x=x, u=u, v=v, pooled=pooled,
+    return EncoderTrace(starts=starts, x=x, u=u, stacked=stacked, pooled=pooled,
                         strip_means=means, norms=norms,
                         embeddings=pre_norm / norms[:, None])
 
@@ -224,16 +283,19 @@ def encode_sequence(seq: SilhouetteSequence, params: EncoderParams) -> np.ndarra
 
 def encode_sequences(seqs: list[SilhouetteSequence], params: EncoderParams) -> np.ndarray:
     """(n, d) embeddings in input order, encoded in chunks of at most
-    CHUNK_FRAMES frames (a longer sequence is a chunk of its own)."""
-    rows, chunk, frames = [], [], 0
+    CHUNK_FRAMES frames (a longer sequence is a chunk of its own) and
+    written into one preallocated array."""
+    out = np.empty((len(seqs), params.shape.embed_dim))
+    chunk, frames, done = [], 0, 0
     for seq in seqs:
         if chunk and frames + seq.length > CHUNK_FRAMES:
-            rows.append(encode_batch(chunk, params).embeddings)
+            out[done:done + len(chunk)] = encode_batch(chunk, params).embeddings
+            done += len(chunk)
             chunk, frames = [], 0
         chunk.append(seq)
         frames += seq.length
-    rows.append(encode_batch(chunk, params).embeddings)
-    return np.concatenate(rows)
+    out[done:] = encode_batch(chunk, params).embeddings
+    return out
 
 
 def encode_backward(
@@ -250,23 +312,17 @@ def encode_backward(
     over sequences and frames are fixed by the input order, so results are
     deterministic.
     """
-    grad_embeddings = list(grad_embeddings)
-    if len(seqs) != len(grad_embeddings):
-        raise ValueError(
-            f"{len(seqs)} sequences but {len(grad_embeddings)} embedding gradients"
-        )
     shape = params.shape
-    for seq, demb in zip(seqs, grad_embeddings):
-        if np.shape(demb) != (shape.embed_dim,):
-            raise ValueError(
-                f"sample {seq.sample_id}: gradient shape {np.shape(demb)} != ({shape.embed_dim},)"
-            )
+    demb = np.asarray(grad_embeddings, dtype=np.float64)
+    if demb.shape != (len(seqs), shape.embed_dim):
+        raise ValueError(
+            f"{len(seqs)} sequences need ({len(seqs)}, {shape.embed_dim}) embedding"
+            f" gradients, got gradient shape {demb.shape}")
     if trace is None:
         trace = encode_batch(seqs, params)
     elif len(trace.starts) != len(seqs):
         raise ValueError(f"trace holds {len(trace.starts)} sequences, not {len(seqs)}")
     grads = {}
-    demb = np.asarray(grad_embeddings, dtype=np.float64)
 
     # through y = p / ||p||:  dp = (dy - y (y . dy)) / ||p||
     y = trace.embeddings
@@ -286,18 +342,17 @@ def encode_backward(
         bands = dpooled.reshape(n, g, -1, shape.channels)
         bands += (dm[g - 1:2 * g - 1] / bands.shape[2]).transpose(1, 0, 2)[:, :, None, :]
 
-    # unpool: each cell's winner is the first frame of its sequence that
-    # equals the pooled max
-    frames = len(trace.v)
-    seq_of_frame = np.repeat(np.arange(len(trace.starts)), np.diff(trace.starts, append=frames))
-    candidates = np.where(trace.v == trace.pooled[seq_of_frame],
-                          np.arange(frames)[:, None, None], frames)
-    winner = np.minimum.reduceat(candidates, trace.starts, axis=0)
-    dv = np.zeros_like(trace.v)
-    np.put_along_axis(dv, winner, dpooled, axis=0)
+    # unpool: each cell's gradient goes to the first frame of its sequence
+    # that equals the pooled max, and through the ReLU where that max is
+    # above 0; rows of dv are (frame, band) pairs in input order
+    pooled = trace.pooled
+    first = np.argmax(trace.stacked == pooled[:, None], axis=1)     # (n, B, C)
+    cells = pooled[0].size
+    at = (trace.starts[:, None, None] + first) * cells + np.arange(cells).reshape(pooled.shape[1:])
+    dv = np.zeros(len(trace.x) * cells)
+    dv[at] = np.where(pooled > 0.0, dpooled, 0.0)
 
-    # rows of the flattened stacks are (frame, band) pairs in input order
-    dz2 = (dv * (trace.v > 0.0)).reshape(-1, shape.channels)
+    dz2 = dv.reshape(-1, shape.channels)
     u = trace.u.reshape(-1, shape.channels)
     grads["mix.weight"] = dz2.T @ u
     grads["mix.bias"] = dz2.sum(axis=0)

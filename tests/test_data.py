@@ -18,7 +18,7 @@ from gaitadapt.data import (
     read_pgm,
     sample_pk_batch,
 )
-from gaitadapt.encoder import SilhouetteSequence
+from gaitadapt.encoder import EncoderShape, SilhouetteSequence, encode_batch, init_params
 from gaitadapt.numerics import make_rng, seed_stream
 
 from conftest import tiny_domain_spec
@@ -224,6 +224,46 @@ class TestGeneration:
             tracemalloc.stop()
         assert sum(s.frames.size for s in ds.sequences) > 0.99 * size
         assert peak < 1.25 * size
+
+    def test_loaded_split_holds_one_bit_per_pixel(self, tmp_path):
+        # a loaded split keeps its frames packed, an eighth of the file's
+        # pixel bytes, in one buffer that its sequences view
+        spec = tiny_domain_spec("L", identities=8, test_identities=1, frames=8,
+                                height=64, width=64)
+        generate_domain(spec, tmp_path, domain="t", seed=3)
+        size = (tmp_path / "train.pgm").stat().st_size
+        tracemalloc.start()
+        try:
+            ds = load_dataset(tmp_path, split="train")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 0.2 * size
+        pixels = sum(s.length for s in ds.sequences) * 64 * 64
+        buffer = ds.sequences[0].packed.base
+        assert buffer.nbytes == sum(s.packed.nbytes for s in ds.sequences) == pixels // 8
+
+    def test_sequences_of_a_split_share_one_packed_buffer(self, tiny_source_dir):
+        ds = load_dataset(tiny_source_dir)
+        for split in ("train", "test"):
+            seqs = ds.split(split)
+            buffer = seqs[0].packed.base
+            assert buffer is not None and buffer.base is None
+            assert all(s.packed.base is buffer for s in seqs)
+        assert ds.split("train")[0].packed.base is not ds.split("test")[0].packed.base
+
+    def test_loaded_and_constructed_sequences_encode_alike(self, tmp_path):
+        # 13 pixels wide: each packed image row ends in 3 pad bits
+        spec = tiny_domain_spec("W", width=13)
+        generate_domain(spec, tmp_path, domain="t", seed=5)
+        loaded = load_dataset(tmp_path).sequences
+        built = [SilhouetteSequence(s.frames, s.sample_id, s.identity) for s in loaded]
+        assert all(a.packed.tobytes() == b.packed.tobytes() for a, b in zip(loaded, built))
+        shape = EncoderShape(height=8, width=13, bands=2, channels=8, scales=2, embed_dim=12)
+        params = init_params(shape, seed_stream(5, 0))
+        params.tensors["strip.bias"] += 0.1  # no zero embedding
+        assert (encode_batch(loaded, params).embeddings.tobytes()
+                == encode_batch(built, params).embeddings.tobytes())
 
     def test_every_frame_has_foreground(self, tmp_path):
         # erosion-heavy style must still leave at least one pixel per frame

@@ -1,14 +1,16 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gaitadapt.discovery import (
-    BLOCK_ROWS,
+    BLOCK_BYTES,
     CurriculumSchedule,
     MemoryBank,
     bank_entropies,
+    block_rows,
     build_bank,
     curriculum_order,
     discover_neighborhoods,
@@ -208,7 +210,8 @@ class TestBlockedPass:
     def test_neighbors_match_brute_force_in_order(self, k):
         bank = _tied_bank()
         n = bank.size
-        assert n > 2 * BLOCK_ROWS
+        rows = block_rows(n)
+        assert n > 2 * rows
         got = discover_neighborhoods(bank, k)
         neighbors, _ = scan_bank(bank, k, tau=0.05)
         assert neighbors.shape == (n, k)
@@ -221,7 +224,7 @@ class TestBlockedPass:
             tied = [c[2] for c in cand if c[0] == cand[k - 1][0]]
             if cand[k][0] == cand[k - 1][0]:
                 boundary_ties += 1
-                split_ties += len({j // BLOCK_ROWS for j in tied}) > 1
+                split_ties += len({j // rows for j in tied}) > 1
         # the data exercises the tie-break at the k-th place, across blocks
         assert boundary_ties > n // 5 and split_ties > n // 10
 
@@ -237,14 +240,31 @@ class TestBlockedPass:
         # the scan's entropies are the kernel's on each block of scores,
         # bit for bit, whatever the neighbor search did to the block first
         bank = _tied_bank()
+        rows = block_rows(bank.size)
         for tau in (0.05, 1e-3):
             want = np.concatenate([
-                row_entropies(bank.entries[lo:lo + BLOCK_ROWS] @ bank.entries.T / tau)
-                for lo in range(0, bank.size, BLOCK_ROWS)])
+                row_entropies(bank.entries[lo:lo + rows] @ bank.entries.T / tau)
+                for lo in range(0, bank.size, rows)])
             for k in (0, 1, 4, 9):
                 _, h = scan_bank(bank, k, tau)
                 assert np.array_equal(h, want), (tau, k)
             assert np.array_equal(bank_entropies(bank, tau), want)
+
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_scan_memory_stays_within_a_few_blocks(self, k):
+        # a block is bounded in bytes, so a bank of 4 000 is scanned in
+        # 16-row blocks and the scan's traced peak stays near the budget
+        n = 4000
+        bank = _unit_bank(make_rng(19), n, d=16)
+        tracemalloc.start()
+        try:
+            scan_bank(bank, k, tau=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block_rows(n) * n * 8 <= BLOCK_BYTES
+        assert peak < 3 * BLOCK_BYTES
 
 
 def _oracle_entropies(bank, tau):

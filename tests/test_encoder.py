@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,24 @@ class TestForward:
         monkeypatch.setattr(encoder_module, "CHUNK_FRAMES", 8)
         assert np.array_equal(encoder_module.encode_sequences(seqs, params), single)
 
+    def test_encode_sequences_holds_one_output(self, monkeypatch):
+        # chunks are written into the result as they come: the traced peak is
+        # one (n, d) array and a chunk's transients, not a list and its concat
+        shape = EncoderShape(height=8, width=8, bands=2, channels=3, scales=2, embed_dim=48)
+        params = init_params(shape, seed_stream(17, 0))
+        params.tensors["strip.bias"] += 0.1  # no zero embedding
+        seqs = random_sequences(make_rng(17), 500, 2, shape=shape, frames=1, prefix="big")
+        monkeypatch.setattr(encoder_module, "CHUNK_FRAMES", 8)
+        out_bytes = len(seqs) * shape.embed_dim * 8
+        tracemalloc.start()
+        try:
+            out = encoder_module.encode_sequences(seqs, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == out_bytes
+        assert peak < 1.3 * out_bytes
+
     def test_empty_batch_rejected(self, small_params):
         with pytest.raises(ValueError, match="at least one sequence"):
             encode_batch([], small_params)
@@ -202,6 +222,93 @@ class TestForward:
         seq = SilhouetteSequence(frames=frames, sample_id="x-nm-01-000")
         assert seq.frames.dtype == np.uint8
         assert np.array_equal(seq.frames, np.eye(4)[None].repeat(2, axis=0))
+
+    @pytest.mark.parametrize("shape", [(1, 0, 3), (2, 4, 0), (1, 0, 0)])
+    def test_empty_frames_are_refused_naming_the_sample(self, shape):
+        with pytest.raises(ValueError, match="sample x-nm-01-000: frames must be at least 1x1"):
+            SilhouetteSequence(np.zeros(shape, np.uint8), "x-nm-01-000")
+
+    @pytest.mark.parametrize("shape", [(4, 4), (0, 4, 4), (1, 2, 4, 4)])
+    def test_wrong_rank_or_no_frames_names_the_sample(self, shape):
+        with pytest.raises(ValueError, match="sample x-nm-01-000: frames must be"):
+            SilhouetteSequence(np.zeros(shape, np.uint8), "x-nm-01-000")
+
+
+class TestPackedFrames:
+    @pytest.mark.parametrize("width", [1, 7, 8, 13, 24])
+    @pytest.mark.parametrize("dtype", [np.uint8, bool, np.int64, np.float64])
+    def test_frames_read_back_the_exact_input(self, width, dtype):
+        bits = make_rng(width).random((3, 5, width)) < 0.5
+        seq = SilhouetteSequence(bits.astype(dtype), "p-nm-01-000")
+        assert seq.frames.dtype == np.uint8
+        assert seq.frames.tobytes() == bits.astype(np.uint8).tobytes()
+        assert (seq.length, seq.height, seq.width) == (3, 5, width)
+        # one bit per pixel, each image row padded to whole bytes
+        assert seq.packed.dtype == np.uint8
+        assert seq.packed.nbytes == 3 * 5 * -(-width // 8)
+
+    def test_frames_are_read_only(self):
+        seq = _seq(make_rng(30))
+        with pytest.raises(AttributeError):
+            seq.frames = np.zeros((1, 8, 8), np.uint8)
+
+    def test_replace_repacks_new_frames(self):
+        import dataclasses
+        seq = _seq(make_rng(31), frames=4)
+        flipped = dataclasses.replace(seq, frames=seq.frames[::-1])
+        assert flipped.sample_id == seq.sample_id and flipped.identity == seq.identity
+        assert np.array_equal(flipped.frames, seq.frames[::-1])
+
+    def test_from_packed_keeps_the_given_bits(self):
+        seq = _seq(make_rng(32), frames=2)
+        again = SilhouetteSequence.from_packed(seq.packed, seq.width, seq.sample_id,
+                                               identity=seq.identity)
+        assert again.packed is seq.packed
+        assert np.array_equal(again.frames, seq.frames)
+        assert (again.condition, again.view, again.domain) == ("NM", "000", "")
+
+
+def _reduceat_backward(seqs, params, grad_embeddings):
+    """encode_backward as a segment max and a per-segment min over winner
+    candidates: pooled by maximum.reduceat, unpooled by minimum.reduceat
+    and put_along_axis, and passed through the ReLU after the unpool. Its
+    gradients, and its pooled maps under "pooled"."""
+    shape = params.shape
+    lengths = np.array([seq.length for seq in seqs])
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    x = np.concatenate([seq.frames for seq in seqs])
+    x = x.reshape(-1, shape.bands, shape.band_pixels).astype(np.float64)
+    u = encoder_module._affine_relu(x, params["frame.weight"], params["frame.bias"])
+    v = encoder_module._affine_relu(u, params["mix.weight"], params["mix.bias"])
+    pooled = np.maximum.reduceat(v, starts, axis=0)
+    trace = encode_batch(seqs, params)
+    y, n = trace.embeddings, len(seqs)
+    demb = np.asarray(grad_embeddings, dtype=np.float64)
+    dpre = (demb - y * (y * demb).sum(axis=1, keepdims=True)) / trace.norms[:, None]
+    dstrip = dpre.reshape(n, shape.n_strips, shape.strip_dim).transpose(1, 0, 2)
+    grads = {"pooled": pooled}
+    grads["strip.weight"] = dstrip.transpose(0, 2, 1) @ trace.strip_means.transpose(1, 0, 2)
+    grads["strip.bias"] = dstrip.sum(axis=1)
+    dm = dstrip @ params["strip.weight"]
+    dpooled = np.zeros_like(pooled)
+    for s in range(shape.scales):
+        g = 2 ** s
+        bands = dpooled.reshape(n, g, -1, shape.channels)
+        bands += (dm[g - 1:2 * g - 1] / bands.shape[2]).transpose(1, 0, 2)[:, :, None, :]
+    frames = len(v)
+    seq_of_frame = np.repeat(np.arange(n), lengths)
+    candidates = np.where(v == pooled[seq_of_frame], np.arange(frames)[:, None, None], frames)
+    winner = np.minimum.reduceat(candidates, starts, axis=0)
+    dv = np.zeros_like(v)
+    np.put_along_axis(dv, winner, dpooled, axis=0)
+    dz2 = (dv * (v > 0.0)).reshape(-1, shape.channels)
+    u = u.reshape(-1, shape.channels)
+    grads["mix.weight"] = dz2.T @ u
+    grads["mix.bias"] = dz2.sum(axis=0)
+    dz1 = (dz2 @ params["mix.weight"]) * (u > 0.0)
+    grads["frame.weight"] = dz1.T @ x.reshape(-1, shape.band_pixels)
+    grads["frame.bias"] = dz1.sum(axis=0)
+    return grads
 
 
 class TestBackward:
@@ -277,6 +384,30 @@ class TestBackward:
 
         assert np.array_equal(pixel0_grad([base, marked]), np.zeros(SMALL_SHAPE.channels))
         assert np.any(pixel0_grad([marked, base]) != 0.0)
+
+    def test_matches_reduceat_unpool_bitwise(self):
+        # mixed lengths pad the pooling stack; equal cells inside and across
+        # frames (a repeated frame, pixels with zero weight) are ties that
+        # only the first winning frame may take
+        params = init_params(SMALL_SHAPE, seed_stream(27, 0))
+        params.tensors["frame.weight"][:, :3] = 0.0
+        for name in ("frame.bias", "mix.bias"):
+            params.tensors[name] += make_rng(27).normal(0.0, 0.3, params[name].shape)
+        rng = make_rng(28)
+        seqs = []
+        for i, k in enumerate((1, 3, 12, 2, 7)):
+            mats = (rng.random((k, SMALL_SHAPE.height, SMALL_SHAPE.width)) < 0.45)
+            mats = mats.astype(np.uint8)
+            if k > 1:
+                mats[-1] = mats[0]
+                mats[k // 2, 0, :3] ^= 1
+            seqs.append(SilhouetteSequence(mats, f"m{i}-nm-01-000"))
+        gs = rng.standard_normal((len(seqs), SMALL_SHAPE.embed_dim))
+        want = _reduceat_backward(seqs, params, gs)
+        got = encode_backward(seqs, params, gs)
+        for name in params.names():
+            assert got[name].tobytes() == want[name].tobytes(), name
+        assert np.array_equal(encode_batch(seqs, params).pooled, want["pooled"])
 
     def test_accumulates_over_sequences(self, small_params):
         rng = make_rng(20)
