@@ -250,7 +250,6 @@ class TestBlockedPass:
                 assert np.array_equal(h, want), (tau, k)
             assert np.array_equal(bank_entropies(bank, tau), want)
 
-
     @pytest.mark.parametrize("k", [0, 4])
     def test_scan_memory_stays_within_a_few_blocks(self, k):
         # a block is bounded in bytes, so a bank of 4 000 is scanned in
