@@ -32,7 +32,7 @@ from .config import (
 from .data import DatasetError, generate_domain, load_dataset
 from .discovery import STRATEGIES, dump_round_diagnostics
 from .encoder import EncoderParams, encode_sequences, load_checkpoint, save_checkpoint
-from .evaluation import ProtocolError, check_protocol, make_protocol, rank1
+from .evaluation import ProtocolError, Rank1Result, check_protocol, make_protocol, rank1
 from .files import write_json
 from .pipeline import RoundState, RunLog, adapt_target, pretrain_source
 
@@ -69,7 +69,9 @@ def run_scope(args, verb: str, args_doc: dict) -> Iterator[Run]:
     on success the run_complete marker is written.
     """
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    cfg = apply_overrides(cfg, seed=args.seed, strategy=args.strategy).check_batches()
+    # only the verbs whose runs use them take --seed and --strategy
+    cfg = apply_overrides(cfg, seed=getattr(args, "seed", None),
+                          strategy=getattr(args, "strategy", None)).check_batches()
     out = Path(args.out)
     marker = out / COMPLETE_MARKER
     if marker.exists() and not args.force:
@@ -143,13 +145,18 @@ def cmd_adapt(args) -> None:
     log.info("adaptation done: %s", args.out)
 
 
-def _evaluate_checkpoint(checkpoint_path, data_root, convention, gallery_size) -> dict:
+def _evaluate_checkpoint(checkpoint_path, data_root, convention="first-n-gallery",
+                         gallery_size=4) -> dict:
     params = load_checkpoint(checkpoint_path)
     test = load_dataset(data_root, split="test").sequences
     embeddings = dict(zip([s.sample_id for s in test], encode_sequences(test, params)))
     protocol = make_protocol(test, convention=convention, gallery_size=gallery_size)
     plain = rank1(embeddings, protocol.with_exclusion(False))
-    excl = rank1(embeddings, protocol.with_exclusion(True))
+    try:
+        excl = rank1(embeddings, protocol.with_exclusion(True))
+    except ProtocolError:  # no probe has a gallery entry from another view
+        excl = Rank1Result(accuracy=None, correct=0, evaluated=0, per_condition={},
+                           skipped_probes=tuple(sorted(protocol.probe_ids)))
     return {
         "rank1": plain.accuracy,
         "rank1_excluding_view": excl.accuracy,
@@ -181,9 +188,9 @@ def cmd_eval(args) -> None:
 ABLATE_METHODS = ("direct", *STRATEGIES)
 
 
-def run_ablation(cfg: ExperimentConfig, out: Path, seeds: list[int],
-                 convention: str = "first-n-gallery", gallery_size: int = 4) -> dict:
-    """Direct transfer plus all three selection strategies, per seed.
+def run_ablation(cfg: ExperimentConfig, out: Path, seeds: list[int]) -> dict:
+    """Direct transfer plus all three selection strategies, per seed, each
+    evaluated under eval's default protocol.
 
     Data generation, pretraining, adaptation, and evaluation all derive
     from the per-seed experiment seed; pretraining is shared across the
@@ -205,15 +212,13 @@ def run_ablation(cfg: ExperimentConfig, out: Path, seeds: list[int],
         target = load_dataset(tgt_root, split="train").sequences
         params, runlog = pretrain_source(source, cfg.encoder, seed_cfg)
         ck = write_stage((seed_dir / "pretrain").joinpath, params, runlog)
-        results["direct"][seed] = _evaluate_checkpoint(
-            ck, tgt_root, convention, gallery_size)
+        results["direct"][seed] = _evaluate_checkpoint(ck, tgt_root)
         for strategy in STRATEGIES:
             log.info("  strategy %s", strategy)
             strat_cfg = dataclasses.replace(seed_cfg, strategy=strategy)
             ck = write_stage((seed_dir / f"adapt_{strategy}").joinpath,
                              *adapt_target(target, params, strat_cfg))
-            results[strategy][seed] = _evaluate_checkpoint(
-                ck, tgt_root, convention, gallery_size)
+            results[strategy][seed] = _evaluate_checkpoint(ck, tgt_root)
     return results
 
 
@@ -295,12 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, data=False, checkpoint=False):
+    def common(p, data=False, checkpoint=False, seed=False):
         p.add_argument("--config", help="experiment config JSON (default: the desk recipe)")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, help="override the experiment seed")
-        p.add_argument("--strategy", choices=STRATEGIES,
-                       help="override the anchor selection strategy")
+        if seed:
+            p.add_argument("--seed", type=int, help="override the experiment seed")
         p.add_argument("--force", action="store_true",
                        help="overwrite a completed run directory")
         if data:
@@ -309,15 +313,17 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--checkpoint", required=True, help="encoder checkpoint")
 
     p = sub.add_parser("gen-data", help="write the synthetic source and target datasets")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("pretrain", help="supervised metric pretraining on a labeled source")
-    common(p, data=True)
+    common(p, data=True, seed=True)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("adapt", help="unsupervised adaptation on an unlabeled target")
-    common(p, data=True, checkpoint=True)
+    common(p, data=True, checkpoint=True, seed=True)
+    p.add_argument("--strategy", choices=STRATEGIES,
+                   help="override the anchor selection strategy")
     p.set_defaults(func=cmd_adapt)
 
     p = sub.add_parser("eval", help="gallery/probe rank-1 evaluation of a checkpoint")
@@ -327,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gallery-size", type=int, default=4)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="direct transfer vs all selection strategies")
+    # no abbreviations, or --seed would be read as --seeds
+    p = sub.add_parser("ablate", help="direct transfer vs all selection strategies",
+                       allow_abbrev=False)
     common(p)
     p.add_argument("--seeds", default="1,2,3", help="comma-separated seed list")
     p.set_defaults(func=cmd_ablate)

@@ -67,8 +67,8 @@ def default_encoder_shape() -> EncoderShape:
 @dataclass
 class ExperimentConfig:
     """Encoder shape, training recipe and both domain specs. Every field
-    defaults to the desk recipe, so a partial document fills the rest from
-    it."""
+    defaults to the desk recipe, so a partial document, or a partial
+    section, fills the rest from it."""
 
     encoder: EncoderShape = field(default_factory=default_encoder_shape)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -103,11 +103,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown config section(s) {unknown}, expected format_version"
                 f" or one of {sorted(sections)}")
+        desk = cls()
         try:
             for section, kind in sections.items():
                 if section in doc:
                     _check_scalars(section, kind, doc[section])
-            return cls(**{k: kind(**doc[k]) for k, kind in sections.items() if k in doc})
+            return cls(**{k: dataclasses.replace(getattr(desk, k), **doc.get(k, {}))
+                          for k in sections})
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from e
 
@@ -150,12 +152,11 @@ def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
 
 
 def apply_overrides(cfg: ExperimentConfig, **train_overrides) -> ExperimentConfig:
-    """Replace train fields with any non-None overrides (CLI flags); a value
-    the field refuses is a ConfigError, as it would be in a config file."""
+    """A copy of cfg whose train fields take any non-None overrides (CLI
+    flags); a value the field refuses is a ConfigError, as it would be in a
+    config file."""
     updates = {k: v for k, v in train_overrides.items() if v is not None}
-    if updates:
-        try:
-            cfg.train = dataclasses.replace(cfg.train, **updates)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-    return cfg
+    try:
+        return dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, **updates))
+    except ValueError as e:
+        raise ConfigError(str(e)) from e

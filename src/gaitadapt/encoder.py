@@ -171,9 +171,6 @@ class EncoderParams:
     def names(self) -> list[str]:
         return [name for name, _ in _param_layout(self.shape)]
 
-    def count(self) -> int:
-        return sum(t.size for t in self.tensors.values())
-
     def copy(self) -> "EncoderParams":
         return EncoderParams(self.shape, {k: v.copy() for k, v in self.tensors.items()})
 

@@ -100,7 +100,7 @@ def make_protocol(
 
 @dataclass
 class Rank1Result:
-    accuracy: float
+    accuracy: float | None  # None only where eval found no probe to score
     correct: int
     evaluated: int
     skipped_probes: tuple[str, ...]

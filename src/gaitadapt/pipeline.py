@@ -152,17 +152,12 @@ def pretrain_source(
     seqs: list[SilhouetteSequence],
     shape: EncoderShape,
     cfg: TrainConfig,
-    params: EncoderParams | None = None,
 ) -> tuple[EncoderParams, RunLog]:
     """Supervised metric pretraining with the batch-all triplet loss.
 
-    Each epoch draws ceil(N / (p*k)) independent p-by-k batches. Passing
-    params continues from an existing checkpoint instead of initializing.
+    Each epoch draws ceil(N / (p*k)) independent p-by-k batches.
     """
-    if params is None:
-        params = init_params(shape, seed_stream(cfg.seed, _ROLE_INIT))
-    else:
-        params = params.copy()
+    params = init_params(shape, seed_stream(cfg.seed, _ROLE_INIT))
     log = RunLog()
     if cfg.pretrain_epochs == 0:
         return params, log

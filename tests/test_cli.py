@@ -1,3 +1,5 @@
+import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -14,6 +16,8 @@ import gaitadapt
 from gaitadapt.cli import build_parser, main
 from gaitadapt.config import ExperimentConfig, load_config, preset_config, save_config
 from gaitadapt.data import load_dataset
+from gaitadapt.encoder import encode_sequences, load_checkpoint
+from gaitadapt.evaluation import make_protocol, rank1
 
 from conftest import PIPE_SHAPE, tiny_domain_spec
 
@@ -57,6 +61,17 @@ def desk_data_dir(tmp_path_factory):
     return out
 
 
+def _one_view_config(tmp_path: Path) -> Path:
+    """The tiny config with a target seen from one view only, so every
+    probe shares the view of every gallery entry; four normal walks fill
+    ablate's gallery of 4."""
+    cfg = _tiny_config()
+    cfg = dataclasses.replace(cfg, target=dataclasses.replace(
+        cfg.target, views=("090",), walks={"NM": 4, "BG": 1}))
+    save_config(cfg, tmp_path / "cfg.json")
+    return tmp_path / "cfg.json"
+
+
 def _outputs(out: Path) -> dict[str, bytes]:
     """Every file a run wrote except run_args.json, which names --out."""
     return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*"))
@@ -86,7 +101,34 @@ class TestParser:
 
     def test_bad_strategy_rejected_at_parse_time(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["gen-data", "--out", "x", "--strategy", "worst"])
+            build_parser().parse_args(["adapt", "--out", "x", "--data", "d",
+                                       "--checkpoint", "c", "--strategy", "worst"])
+
+    def test_each_verb_takes_the_options_it_acts_on(self):
+        common = {"-h", "--help", "--config", "--out", "--force"}
+        verbs = next(a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)).choices
+        options = {verb: {o for a in p._actions for o in a.option_strings} - common
+                   for verb, p in verbs.items()}
+        assert options == {
+            "gen-data": {"--seed"},
+            "pretrain": {"--seed", "--data"},
+            "adapt": {"--seed", "--strategy", "--data", "--checkpoint"},
+            "eval": {"--data", "--checkpoint", "--convention", "--gallery-size"},
+            "ablate": {"--seeds"},
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["ablate", "--seed", "5"],
+        ["eval", "--data", "d", "--checkpoint", "c", "--strategy", "low"],
+        ["gen-data", "--strategy", "low"],
+        ["pretrain", "--data", "d", "--strategy", "low"],
+    ])
+    def test_flag_the_verb_does_not_use_is_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, "--out", "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
 
     def test_help_via_subprocess(self):
         proc = subprocess.run(
@@ -224,7 +266,6 @@ class TestGenData:
 
 class TestPretrain:
     def test_artifacts(self, pretrain_dir):
-        from gaitadapt.encoder import load_checkpoint
         params = load_checkpoint(pretrain_dir / "checkpoint.json")
         assert params.shape == PIPE_SHAPE
         lines = (pretrain_dir / "runlog.csv").read_text().splitlines()
@@ -403,6 +444,21 @@ class TestEval:
         assert (out / "failed" / "resolved_config.json").exists()
         assert list(out.rglob("*results.json*")) == []
 
+    def test_one_view_target_reports_plain_rank1_only(self, pretrain_dir, tmp_path):
+        c, data = ["--config", str(_one_view_config(tmp_path))], tmp_path / "g" / "target"
+        ck = pretrain_dir / "checkpoint.json"
+        assert main(["gen-data", *c, "--out", str(tmp_path / "g")]) == 0
+        assert main(["eval", *c, "--out", str(tmp_path / "ev"), "--data", str(data),
+                     "--checkpoint", str(ck), "--gallery-size", "2"]) == 0
+        doc = json.loads((tmp_path / "ev" / "results.json").read_text())
+        test = load_dataset(data, split="test").sequences
+        emb = dict(zip([s.sample_id for s in test], encode_sequences(test, load_checkpoint(ck))))
+        protocol = make_protocol(test, gallery_size=2)
+        assert doc["rank1"] == rank1(emb, protocol).accuracy
+        assert doc["rank1_excluding_view"] is None
+        assert doc["per_condition_excluding_view"] == {}
+        assert doc["skipped_probes_excluding_view"] == sorted(protocol.probe_ids) != []
+
     def test_missing_config_file_is_config_error(self, tmp_path, capsys):
         rc = main(["eval", "--config", str(tmp_path / "none.json"), "--out",
                    str(tmp_path / "o"), "--data", "d", "--checkpoint", "c"])
@@ -458,6 +514,16 @@ class TestAblate:
         assert not (out / "comparison.csv").exists()
         assert (out / "failed" / "details.csv").is_file()
         assert (out / "failed" / "seed1").is_dir()
+
+    def test_one_view_target_writes_the_tables(self, tmp_path):
+        out = tmp_path / "ab"
+        assert main(["ablate", "--config", str(_one_view_config(tmp_path)), "--out", str(out),
+                     "--seeds", "1"]) == 0
+        with open(out / "comparison.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["method"] for r in rows] == ["direct", "high", "low", "random"]
+        assert all(r["rank1_excl_mean"] == "nan" and 0 <= float(r["rank1_mean"]) <= 1
+                   for r in rows)
 
     def test_empty_seed_list_rejected(self, cfg_file, tmp_path, capsys):
         rc = main(["ablate", "--config", str(cfg_file), "--out",

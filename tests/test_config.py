@@ -158,6 +158,18 @@ class TestSerialization:
         with pytest.raises(ConfigError, match=r"\['target.nosie'\]"):
             ExperimentConfig.from_dict(doc)
 
+    def test_partial_encoder_section_keeps_the_desk_shape(self):
+        cfg = ExperimentConfig.from_dict({"encoder": {"channels": 8}})
+        assert cfg.encoder == dataclasses.replace(default_encoder_shape(), channels=8)
+
+    def test_partial_source_section_keeps_the_desk_source(self):
+        cfg = ExperimentConfig.from_dict({"source": {"identities": 4}})
+        assert cfg.source == dataclasses.replace(default_source_spec(), identities=4)
+
+    def test_partial_target_section_keeps_the_desk_target(self):
+        cfg = ExperimentConfig.from_dict({"target": {"noise": 0.05}})
+        assert cfg.target == dataclasses.replace(default_target_spec(), noise=0.05)
+
     def test_invalid_train_value(self):
         with pytest.raises(ConfigError, match="tau"):
             ExperimentConfig.from_dict({"train": {"tau": -1.0}})
@@ -179,6 +191,12 @@ class TestOverrides:
         cfg = apply_overrides(preset_config("desk"), seed=5, strategy="random")
         assert cfg.train.seed == 5
         assert cfg.train.strategy == "random"
+
+    def test_input_config_is_unchanged(self):
+        cfg = preset_config("desk")
+        out = apply_overrides(cfg, seed=5)
+        assert out.train.seed == 5
+        assert cfg.train.seed == 1 and cfg == preset_config("desk")
 
     def test_bad_override_propagates(self):
         with pytest.raises(ConfigError, match="strategy"):
