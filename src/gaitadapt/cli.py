@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import logging
 import os
 import shutil
@@ -222,7 +223,7 @@ def run_ablation(cfg: ExperimentConfig, out: Path, seeds: list[int]) -> dict:
     return results
 
 
-def _metric_columns(summary: dict) -> dict[str, float]:
+def _metric_columns(summary: dict) -> dict[str, float | None]:
     cols = {"rank1": summary["rank1"], "rank1_excl": summary["rank1_excluding_view"]}
     for cond, vals in summary["per_condition"].items():
         cols[f"rank1_{cond}"] = vals["rank1"]
@@ -231,10 +232,16 @@ def _metric_columns(summary: dict) -> dict[str, float]:
     return cols
 
 
+def _cell(value: float | None) -> str:
+    """A table cell: the value's repr, or empty when there is no value."""
+    return "" if value is None else repr(value)
+
+
 def write_ablation_tables(results: dict, out: Path, seeds: list[int]) -> None:
     """details.csv: one row per (method, seed). comparison.csv: method rows
     with mean and spread (population std, ddof=0, so a single seed reads 0)
-    per metric over the seed list."""
+    per metric over the seeds that have a value. A missing value is an
+    empty cell in both tables."""
     all_cols: list[str] = []
     for m in ABLATE_METHODS:
         for seed in seeds:
@@ -248,7 +255,7 @@ def write_ablation_tables(results: dict, out: Path, seeds: list[int]) -> None:
         for m in ABLATE_METHODS:
             for seed in seeds:
                 cols = _metric_columns(results[m][seed])
-                w.writerow([m, seed] + [repr(cols.get(c, "")) for c in all_cols])
+                w.writerow([m, seed] + [_cell(cols.get(c)) for c in all_cols])
 
     with open(out / "comparison.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -259,10 +266,9 @@ def write_ablation_tables(results: dict, out: Path, seeds: list[int]) -> None:
         for m in ABLATE_METHODS:
             row = [m, ";".join(str(s) for s in seeds)]
             for c in all_cols:
-                vals = np.array(
-                    [_metric_columns(results[m][s]).get(c, np.nan) for s in seeds],
-                    dtype=float)
-                row += [repr(float(vals.mean())), repr(float(vals.std()))]
+                vals = [v for s in seeds
+                        if (v := _metric_columns(results[m][s]).get(c)) is not None]
+                row += [_cell(float(f(vals)) if vals else None) for f in (np.mean, np.std)]
             w.writerow(row)
 
 
@@ -299,6 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cross-domain gait embedding adaptation experiments",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    # options are spelled in full: an abbreviation like --se would pass for --seed
+    add_verb = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def common(p, data=False, checkpoint=False, seed=False):
         p.add_argument("--config", help="experiment config JSON (default: the desk recipe)")
@@ -312,30 +320,28 @@ def build_parser() -> argparse.ArgumentParser:
         if checkpoint:
             p.add_argument("--checkpoint", required=True, help="encoder checkpoint")
 
-    p = sub.add_parser("gen-data", help="write the synthetic source and target datasets")
+    p = add_verb("gen-data", help="write the synthetic source and target datasets")
     common(p, seed=True)
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("pretrain", help="supervised metric pretraining on a labeled source")
+    p = add_verb("pretrain", help="supervised metric pretraining on a labeled source")
     common(p, data=True, seed=True)
     p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("adapt", help="unsupervised adaptation on an unlabeled target")
+    p = add_verb("adapt", help="unsupervised adaptation on an unlabeled target")
     common(p, data=True, checkpoint=True, seed=True)
     p.add_argument("--strategy", choices=STRATEGIES,
                    help="override the anchor selection strategy")
     p.set_defaults(func=cmd_adapt)
 
-    p = sub.add_parser("eval", help="gallery/probe rank-1 evaluation of a checkpoint")
+    p = add_verb("eval", help="gallery/probe rank-1 evaluation of a checkpoint")
     common(p, data=True, checkpoint=True)
     p.add_argument("--convention", default="first-n-gallery",
                    choices=["first-n-gallery", "first-sequence-gallery"])
     p.add_argument("--gallery-size", type=int, default=4)
     p.set_defaults(func=cmd_eval)
 
-    # no abbreviations, or --seed would be read as --seeds
-    p = sub.add_parser("ablate", help="direct transfer vs all selection strategies",
-                       allow_abbrev=False)
+    p = add_verb("ablate", help="direct transfer vs all selection strategies")
     common(p)
     p.add_argument("--seeds", default="1,2,3", help="comma-separated seed list")
     p.set_defaults(func=cmd_ablate)

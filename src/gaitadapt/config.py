@@ -24,7 +24,6 @@ CONFIG_VERSION = 1
 _SCALAR_KINDS = {
     "int": ("an integer", lambda v: type(v) is int),
     "float": ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
-    "bool": ("true or false", lambda v: type(v) is bool),
 }
 
 class ConfigError(ValueError):

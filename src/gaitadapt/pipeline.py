@@ -69,7 +69,6 @@ class TrainConfig:
     decay_start: int = 150      # last epoch at the initial rate
     strategy: str = "high"
     bank_momentum: float = 0.5
-    self_terms_for_unselected: bool = False  # unselected: AND's instance term -log p_ii
     seed: int = 1
 
     def __post_init__(self):
@@ -236,25 +235,16 @@ def adapt_target(
         selected = ranking[:n_sel]
         # members[i]: bank indices of sample i's neighborhood, itself first
         members = np.concatenate([np.arange(n)[:, None], neighbors], axis=1)
-        if cfg.self_terms_for_unselected:
-            chosen = np.zeros(n, dtype=bool)
-            chosen[selected] = True
-            unselected = np.flatnonzero(~chosen)
-            pool = np.concatenate([selected, unselected])
-            # a neighborhood of itself alone: the repeats count once
-            members[unselected] = unselected[:, None]
-        else:
-            pool = selected
 
         for e in range(1, cfg.epochs_per_round + 1):
             t0 = time.perf_counter()
             epoch_global += 1
             lr = lr_at(epoch_global, cfg)
             rng = seed_stream(cfg.seed, _ROLE_ADAPT, r, e)
-            order = rng.permutation(len(pool))
+            order = rng.permutation(n_sel)
             epoch_loss = 0.0
-            for start in range(0, len(order), cfg.adapt_batch_size):
-                idx = pool[order[start:start + cfg.adapt_batch_size]]
+            for start in range(0, n_sel, cfg.adapt_batch_size):
+                idx = selected[order[start:start + cfg.adapt_batch_size]]
                 batch_seqs = [seqs[i] for i in idx]
                 trace = encode_batch(batch_seqs, params)
                 fresh = trace.embeddings
@@ -266,7 +256,7 @@ def adapt_target(
                 epoch_loss += loss
             # the loss is a sum over anchors; log its mean per anchor
             log.add(stage="adapt", round_index=r, epoch=epoch_global,
-                    loss=epoch_loss / len(pool),
+                    loss=epoch_loss / n_sel,
                     learning_rate=lr, wall_time=time.perf_counter() - t0)
         rounds.append(RoundState(r, ids, neighbors, h, selected))
         del bank  # before the next round builds its own

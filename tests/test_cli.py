@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gaitadapt
-from gaitadapt.cli import build_parser, main
+from gaitadapt.cli import ABLATE_METHODS, build_parser, main, write_ablation_tables
 from gaitadapt.config import ExperimentConfig, load_config, preset_config, save_config
 from gaitadapt.data import load_dataset
 from gaitadapt.encoder import encode_sequences, load_checkpoint
@@ -117,6 +117,18 @@ class TestParser:
             "eval": {"--data", "--checkpoint", "--convention", "--gallery-size"},
             "ablate": {"--seeds"},
         }
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--out", "x", "--se", "5"],
+        ["eval", "--out", "x", "--data", "d", "--check", "c", "--gallery", "2"],
+        ["adapt", "--out", "x", "--data", "d", "--checkpoint", "c", "--strat", "low"],
+    ], ids=["gen-data-se", "eval-check-gallery", "adapt-strat"])
+    def test_abbreviated_option_is_refused(self, argv):
+        # each would parse with abbreviations allowed: --se as --seed,
+        # --check as --checkpoint, --gallery as --gallery-size, --strat as --strategy
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
         ["ablate", "--seed", "5"],
@@ -522,8 +534,30 @@ class TestAblate:
         with open(out / "comparison.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["method"] for r in rows] == ["direct", "high", "low", "random"]
-        assert all(r["rank1_excl_mean"] == "nan" and 0 <= float(r["rank1_mean"]) <= 1
-                   for r in rows)
+        assert all(r["rank1_excl_mean"] == r["rank1_excl_spread"] == ""
+                   and 0 <= float(r["rank1_mean"]) <= 1 for r in rows)
+        with open(out / "details.csv", newline="") as fh:
+            assert all(r["rank1_excl"] == "" for r in csv.DictReader(fh))
+
+    def test_value_of_one_seed_of_two_is_its_own_mean(self, tmp_path):
+        # seed 2 has no cross-view rank-1 (null) and no BG probes (absent)
+        def summary(rank1, excl, per_condition):
+            return {"rank1": rank1, "rank1_excluding_view": excl,
+                    "per_condition": per_condition, "per_condition_excluding_view": {}}
+        one = summary(0.75, 0.5, {"NM": {"rank1": 0.8}, "BG": {"rank1": 0.25}})
+        two = summary(0.5, None, {"NM": {"rank1": 0.6}})
+        write_ablation_tables({m: {1: one, 2: two} for m in ABLATE_METHODS}, tmp_path, [1, 2])
+        with open(tmp_path / "details.csv", newline="") as fh:
+            details = {(r["method"], r["seed"]): r for r in csv.DictReader(fh)}
+        assert details["high", "1"]["rank1_excl"] == "0.5"
+        assert details["high", "2"]["rank1_excl"] == details["high", "2"]["rank1_BG"] == ""
+        with open(tmp_path / "comparison.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(ABLATE_METHODS)
+        for r in rows:
+            assert (r["rank1_mean"], r["rank1_spread"]) == ("0.625", "0.125")
+            assert (r["rank1_excl_mean"], r["rank1_excl_spread"]) == ("0.5", "0.0")
+            assert (r["rank1_BG_mean"], r["rank1_BG_spread"]) == ("0.25", "0.0")
 
     def test_empty_seed_list_rejected(self, cfg_file, tmp_path, capsys):
         rc = main(["ablate", "--config", str(cfg_file), "--out",
@@ -603,9 +637,10 @@ MALFORMED = {
     "config-unknown-section": ("config", _add_section, "E_CONFIG"),
     "config-unknown-field": ("config", _set_config_field("train", "include_self", True),
                              "E_CONFIG"),
-    "config-string-bool": ("config",
-                           _set_config_field("train", "self_terms_for_unselected", "no"),
-                           "E_CONFIG"),
+    "config-removed-self-terms-field": ("config",
+                                        _set_config_field("train",
+                                                          "self_terms_for_unselected", False),
+                                        "E_CONFIG"),
     "config-float-height": ("config", _set_config_field("encoder", "height", float),
                             "E_CONFIG"),
     "config-fractional-epochs": ("config", _set_config_field("train", "pretrain_epochs", 1.5),

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -114,8 +115,6 @@ class TestSerialization:
             ExperimentConfig.from_dict({"format_version": 3})
 
     @pytest.mark.parametrize("section,key,value,wanted", [
-        pytest.param("train", "self_terms_for_unselected", "no", "true or false", id="train-bool-no"),
-        pytest.param("train", "self_terms_for_unselected", 1, "true or false", id="train-bool-1"),
         ("encoder", "height", 24.0, "an integer"),
         ("train", "pretrain_epochs", 1.5, "an integer"),
         ("train", "seed", True, "an integer"),
@@ -156,6 +155,13 @@ class TestSerialization:
         doc = preset_config("desk").to_dict()
         doc["target"]["nosie"] = 0.1
         with pytest.raises(ConfigError, match=r"\['target.nosie'\]"):
+            ExperimentConfig.from_dict(doc)
+
+    def test_snapshot_with_a_removed_train_field_is_refused(self):
+        # a snapshot written while the instance-term switch existed holds it
+        doc = preset_config("desk").to_dict()
+        doc["train"]["self_terms_for_unselected"] = False
+        with pytest.raises(ConfigError, match=r"\['train.self_terms_for_unselected'\]"):
             ExperimentConfig.from_dict(doc)
 
     def test_partial_encoder_section_keeps_the_desk_shape(self):
@@ -201,3 +207,11 @@ class TestOverrides:
     def test_bad_override_propagates(self):
         with pytest.raises(ConfigError, match="strategy"):
             apply_overrides(preset_config("desk"), strategy="worst")
+
+
+def test_committed_experiment_configs_load():
+    # a config under experiments/ that a field change left stale fails here
+    paths = sorted((Path(__file__).resolve().parents[1] / "experiments").glob("*.json"))
+    assert paths
+    for path in paths:
+        load_config(path).check_batches()

@@ -47,7 +47,7 @@ class TestTrainConfig:
         assert (cfg.decay_factor, cfg.decay_interval, cfg.decay_start) == (0.1, 50, 150)
         assert cfg.strategy == "high"
         assert cfg.bank_momentum == 0.5
-        assert (cfg.self_terms_for_unselected, cfg.seed) == (False, 1)
+        assert cfg.seed == 1
         assert preset_config("desk").train == cfg
 
     def test_desk_preset_overrides(self):
@@ -196,9 +196,9 @@ class TestAdapt:
 
     def test_unselected_bank_entries_stay_frozen(self, target_train, pretrained,
                                                  monkeypatch):
-        # with the flag off, a sample outside the round-1 selection is never
-        # re-encoded, so its bank entry keeps the round-start value; two
-        # epochs so that selected entries meet a moved encoder and change
+        # a sample outside the round-1 selection is never re-encoded, so its
+        # bank entry keeps the round-start value; two epochs so that
+        # selected entries meet a moved encoder and change
         cfg = _small_cfg(rounds=2, epochs_per_round=2)
         banks = _capture_banks(monkeypatch)
         _, _, rounds = adapt_target(target_train, pretrained, cfg)
@@ -208,16 +208,6 @@ class TestAdapt:
         for i, sid in enumerate(start.ids):
             same = np.array_equal(bank.entries[i], start.entries[i])
             assert same == (i not in chosen), sid
-
-    def test_self_terms_update_every_entry(self, target_train, pretrained, monkeypatch):
-        cfg = _small_cfg(rounds=2, epochs_per_round=2,
-                         self_terms_for_unselected=True)
-        banks = _capture_banks(monkeypatch)
-        _, _, rounds = adapt_target(target_train, pretrained, cfg)
-        start = build_bank(target_train, pretrained, cfg.bank_momentum)
-        state, bank = rounds[0], banks[0]  # the bank holds its end-of-round entries
-        for i, sid in enumerate(start.ids):
-            assert not np.array_equal(bank.entries[i], start.entries[i]), sid
 
     def test_rounds_hold_no_bank_sized_array(self, target_train, pretrained):
         # a finished round keeps index arrays and the shared ids, nothing
