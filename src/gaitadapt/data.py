@@ -16,25 +16,30 @@ sequences in manifest order with every frame of H x W stacked top to
 bottom. A JSON manifest at the root (format_version 3) lists every
 sequence with its split and frame count; a sequence's frames start at the
 sum of the frame counts of the records before it in its split. A split is
-written, read and validated as one unit. Once loaded, a split is held one
-bit per pixel: its frames are packed along the width in one buffer, and
-each sequence is a view of it.
+written in one stream and read in one: its header, size and shape are
+checked first, and its pixels then pass through one buffer of at most
+numerics.WORK_BYTES, each chunk checked and packed as it comes. Once
+loaded, a split is held one bit per pixel: its frames are packed along the
+width in one buffer, and each sequence is a view of it.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import re
 from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import accumulate
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
 from .encoder import SilhouetteSequence, pack_frames
 from .files import read_json, replacing, write_json
-from .numerics import seed_stream
+from .numerics import WORK_BYTES, seed_stream
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 3  # version 1 stored one file per frame, version 2 one per sequence
@@ -87,12 +92,24 @@ class DomainSpec:
             raise ValueError(f"gait period must be >= 4 frames, got {self.period!r}")
         if self.identities < 1 or self.frames < 1:
             raise ValueError("identities and frames must be >= 1")
+        if self.test_identities < 0:
+            raise ValueError(f"test_identities must be >= 0, got {self.test_identities!r}")
+        if self.height < 1 or self.width < 1:
+            raise ValueError(f"height and width must be >= 1, got {self.height}x{self.width}")
+        if not self.views or len(set(self.views)) != len(self.views):
+            raise ValueError(f"views must be distinct and at least one, got {list(self.views)}")
+        if len(self.scale) != 2 or not all(0 < s < math.inf for s in self.scale):
+            raise ValueError(f"scale must be two positive finite factors, got {self.scale!r}")
         lo, hi = self.body_jitter
         if not 0.0 <= lo <= hi:
             raise ValueError(f"body_jitter range must satisfy 0 <= lo <= hi, got {self.body_jitter!r}")
-        for c in self.walks:
+        for c, n in self.walks.items():
             if c not in CONDITIONS:
                 raise ValueError(f"unknown condition {c!r}, expected one of {CONDITIONS}")
+            if type(n) is not int or n < 0:
+                raise ValueError(f"walks[{c!r}] must be an integer >= 0, got {n!r}")
+        if not sum(self.walks.values()):
+            raise ValueError(f"walks must give each identity a walk, got {self.walks!r}")
 
     @property
     def sequences_per_identity(self) -> int:
@@ -302,30 +319,46 @@ def _pgm_header(width: int, height: int) -> bytes:
 
 
 # magic, width, height and maxval, separated by whitespace or '#' comment
-# lines, and one whitespace byte before the pixels
+# lines, and one whitespace byte before the pixels, all in the file's first
+# _HEADER_BYTES
+_HEADER_BYTES = 4096
 _SEP = rb"(?:\s|#[^\n]*\n)+"
 _PGM_HEADER = re.compile(rb"P5" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)\s")
+
+
+def _pgm_pixels(fh: BinaryIO, where: str | Path) -> tuple[int, int]:
+    """(H, W) of the binary P5 PGM open as fh, which is left at its first
+    pixel byte. Exactly H x W pixel bytes must follow the header, by the
+    file's size; each error message begins with `where`."""
+    header = _PGM_HEADER.match(fh.read(_HEADER_BYTES))
+    if header is None or header[3] != b"255":
+        raise DatasetError(f"{where}: not a maxval-255 P5 PGM")
+    w, h = int(header[1]), int(header[2])
+    pixels = os.fstat(fh.fileno()).st_size - header.end()
+    if pixels < w * h:
+        raise DatasetError(f"{where}: truncated pixel data")
+    if pixels > w * h:
+        raise DatasetError(f"{where}: {pixels - w * h} bytes of trailing data after the pixels")
+    fh.seek(header.end())
+    return h, w
+
+
+def _read_into(fh: BinaryIO, out: np.ndarray, where: str | Path) -> None:
+    """Fill the contiguous array out from fh; a short read is an error."""
+    if fh.readinto(out.reshape(-1)) != out.size:
+        raise DatasetError(f"{where}: truncated pixel data")
 
 
 def read_pgm(path: str | Path) -> np.ndarray:
     """Read a binary P5 PGM; returns raw byte values as (H, W) uint8.
 
-    Exactly H x W pixel bytes must follow the header. The file is read into
-    one writable array, and the result is a view of it that callers may
-    change in place.
+    Exactly H x W pixel bytes must follow the header. The result is a
+    fresh writable array.
     """
-    raw = np.fromfile(path, dtype=np.uint8)
-    header = _PGM_HEADER.match(memoryview(raw))
-    if header is None or header[3] != b"255":
-        raise DatasetError(f"{path}: not a maxval-255 P5 PGM")
-    w, h = int(header[1]), int(header[2])
-    pixels = raw[header.end():]
-    if pixels.size < w * h:
-        raise DatasetError(f"{path}: truncated pixel data")
-    if pixels.size > w * h:
-        raise DatasetError(
-            f"{path}: {pixels.size - w * h} bytes of trailing data after the pixels")
-    return pixels.reshape(h, w)
+    with open(path, "rb") as fh:
+        pixels = np.empty(_pgm_pixels(fh, path), dtype=np.uint8)
+        _read_into(fh, pixels, path)
+    return pixels
 
 
 # ---------------------------------------------------------------------------
@@ -437,42 +470,47 @@ def load_manifest(root: str | Path) -> DatasetManifest:
 def _read_split(manifest: DatasetManifest, split: str) -> list[SilhouetteSequence]:
     """The split's sequences from its one file, in manifest order.
 
-    The file is read into one buffer and validated in place; the split is
-    then packed in one call, the buffer is dropped, and each sequence views
-    its frames in the packed split. A failure of the whole file names a
-    sample it affects: a missing or unreadable file, a wrong width, and lost
-    or extra rows name the split's last sample. A non-binary pixel names its
-    own sample and frame.
+    The header, the file size and the shape are checked before any pixel
+    is read. The pixels then stream through one buffer of whole frames, at
+    most WORK_BYTES (one frame at least): each chunk is checked, made 0/1
+    in place and packed into the split's one packed buffer, which each
+    sequence views. A failure of the whole file names a sample it affects:
+    a missing or unreadable file, a wrong width, and lost or extra rows
+    name the split's last sample. A non-binary pixel names its own sample
+    and frame.
     """
     records = manifest.split(split)
     h, w = manifest.height, manifest.width
     path = manifest.root / f"{split}.pgm"
-    last = records[-1].sample_id
-    try:
-        raw = read_pgm(path)
-    except FileNotFoundError as e:
-        raise DatasetError(f"sample {last}: missing split file {path}") from e
-    except DatasetError as e:
-        raise DatasetError(f"sample {last}: {e}") from e
+    where = f"sample {records[-1].sample_id}"
     ends = list(accumulate(r.frame_count for r in records))
-    if raw.shape != (ends[-1] * h, w):
-        raise DatasetError(
-            f"sample {last}: split file {path} has shape {raw.shape},"
-            f" expected {ends[-1]} frames of {h}x{w}"
-        )
-    # in place, with uint8 wrap-around: 0 -> 1, 255 -> 0, any other value > 1
-    raw += 1
-    if raw.max() > 1:
-        row, col = divmod(int(np.argmax(raw > 1)), w)
-        i = bisect_right(ends, row // h)
-        frame = row // h - (ends[i] - records[i].frame_count)
-        raise DatasetError(
-            f"sample {records[i].sample_id}: frame {frame} has non-binary pixel value"
-            f" {int(raw[row, col]) - 1}"
-        )
-    np.subtract(1, raw, out=raw)  # 0/1
-    packed = pack_frames(raw.reshape(-1, h, w))
-    del raw
+    n = ends[-1]
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError as e:
+        raise DatasetError(f"{where}: missing split file {path}") from e
+    with fh:
+        shape = _pgm_pixels(fh, f"{where}: {path}")
+        if shape != (n * h, w):
+            raise DatasetError(
+                f"{where}: split file {path} has shape {shape}, expected {n} frames of {h}x{w}")
+        packed = np.empty((n, h, (w + 7) // 8), dtype=np.uint8)
+        step = max(1, WORK_BYTES // (h * w))
+        buffer = np.empty((min(step, n), h, w), dtype=np.uint8)
+        for lo in range(0, n, step):
+            chunk = buffer[:min(step, n - lo)]
+            _read_into(fh, chunk, f"{where}: {path}")
+            # in place, with uint8 wrap-around: 0 -> 1, 255 -> 0, any other value > 1
+            chunk += 1
+            if chunk.max() > 1:
+                at = np.unravel_index(np.argmax(chunk > 1), chunk.shape)
+                i = bisect_right(ends, lo + at[0])
+                frame = lo + at[0] - (ends[i] - records[i].frame_count)
+                raise DatasetError(
+                    f"sample {records[i].sample_id}: frame {frame} has non-binary pixel"
+                    f" value {int(chunk[at]) - 1}")
+            np.subtract(1, chunk, out=chunk)  # 0/1
+            packed[lo:lo + len(chunk)] = pack_frames(chunk)
     return [
         SilhouetteSequence.from_packed(
             packed[end - rec.frame_count:end], w,
@@ -489,7 +527,7 @@ def _read_split(manifest: DatasetManifest, split: str) -> list[SilhouetteSequenc
 def load_dataset(root: str | Path, split: str | None = None) -> Dataset:
     """Load the sequences listed in the manifest, validating binary pixels.
 
-    Each split is one file, read and checked in one pass. With a split
+    Each split is one file, streamed and checked in one pass. With a split
     name only that split's file is read, and a split without records is
     refused; the manifest still lists every record.
     """

@@ -5,7 +5,7 @@ neighborhoods, per-sample entropy ranking, and the progressive round-based
 anchor selection (round r of R trains on the top r/R fraction).
 
 scan_bank makes one pass per round over the bank-against-bank
-similarities, in row blocks of at most BLOCK_BYTES (and at least 8 rows),
+similarities, in row blocks of at most WORK_BYTES (and at least 8 rows),
 so no N x N array is ever held and a block does not grow with N below
 N = 8 192: each block's product gives both the k nearest neighbors and,
 over the temperature, the entropies (losses.row_entropies, one exponential
@@ -25,22 +25,21 @@ import numpy as np
 
 from .encoder import EncoderParams, SilhouetteSequence, encode_sequences
 from .losses import row_entropies
-from .numerics import NORM_EPS, DegenerateInputError
+from .numerics import NORM_EPS, WORK_BYTES, DegenerateInputError
 
 STRATEGIES = ("high", "low", "random")
 
-# Bytes of float64 similarities per block of the similarity pass; the
-# entropy kernel holds one more array of that size. A block is
-# block_rows(N) rows: 32 at N = 2 000, and the whole bank up to N = 256.
-# Blocks of 7 rows or more give the same bits as one whole-bank block; a
-# 1-row block takes BLAS's vector path and does not, so a block never has
-# fewer than 8 rows.
-BLOCK_BYTES = 512 * 1024
-
 
 def block_rows(n: int) -> int:
-    """Bank rows per block of the similarity pass over a bank of n entries."""
-    return max(8, BLOCK_BYTES // (8 * n))
+    """Bank rows per block of the similarity pass over a bank of n entries.
+
+    Up to N = 8 192 a block holds at most WORK_BYTES of float64
+    similarities, and the entropy kernel one more array of that size: 32
+    rows at N = 2 000, and the whole bank up to N = 256. Blocks of 7 rows or more give the same
+    bits as one whole-bank block; a 1-row block takes BLAS's vector path
+    and does not, so a block never has fewer than 8 rows.
+    """
+    return max(8, WORK_BYTES // (8 * n))
 
 
 @dataclass

@@ -25,13 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .files import read_json, write_json
-from .numerics import NORM_EPS, DegenerateInputError
+from .numerics import NORM_EPS, WORK_BYTES, DegenerateInputError
 
 CHECKPOINT_VERSION = 2
-
-# frames per forward-only chunk in encode_sequences: about 2 MB of float64
-# activations at 24x24, so encoding a large bank keeps peak memory flat
-CHUNK_FRAMES = 256
 
 
 @dataclass(frozen=True)
@@ -76,6 +72,12 @@ class EncoderShape:
     @property
     def strip_dim(self) -> int:
         return self.embed_dim // self.n_strips
+
+    @property
+    def frame_bytes(self) -> int:
+        """Bytes of float64 that one frame takes in encode_batch: its band
+        inputs and the outputs of both layers."""
+        return 8 * (self.height * self.width + 2 * self.bands * self.channels)
 
 
 def pack_frames(frames: np.ndarray) -> np.ndarray:
@@ -279,13 +281,14 @@ def encode_sequence(seq: SilhouetteSequence, params: EncoderParams) -> np.ndarra
 
 
 def encode_sequences(seqs: list[SilhouetteSequence], params: EncoderParams) -> np.ndarray:
-    """(n, d) embeddings in input order, encoded in chunks of at most
-    CHUNK_FRAMES frames (a longer sequence is a chunk of its own) and
-    written into one preallocated array."""
+    """(n, d) embeddings in input order, encoded in chunks whose frames
+    take at most WORK_BYTES (shape.frame_bytes each; a longer sequence is a
+    chunk of its own) and written into one preallocated array."""
     out = np.empty((len(seqs), params.shape.embed_dim))
+    max_frames = WORK_BYTES // params.shape.frame_bytes
     chunk, frames, done = [], 0, 0
     for seq in seqs:
-        if chunk and frames + seq.length > CHUNK_FRAMES:
+        if chunk and frames + seq.length > max_frames:
             out[done:done + len(chunk)] = encode_batch(chunk, params).embeddings
             done += len(chunk)
             chunk, frames = [], 0

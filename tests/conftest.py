@@ -6,6 +6,7 @@ tests copy files into their own tmp dir first).
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,18 @@ def random_unit_rows(rng, n, dim):
     """n unit rows, one standard-normal draw of dim values each."""
     rows = [rng.standard_normal(dim) for _ in range(n)]
     return np.stack([v / np.linalg.norm(v) for v in rows])
+
+
+def traced_peak(fn):
+    """Call fn() under tracemalloc: (its result, the traced peak in bytes,
+    the bytes still traced when it returned)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, held
 
 
 @pytest.fixture(scope="session")

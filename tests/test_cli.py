@@ -237,6 +237,27 @@ class TestGenData:
         assert capsys.readouterr().err.startswith("ERROR E_CONFIG: seed must be >= 0, got -1")
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("walks", {"NM": 3, "BG": -1}, "walks['BG'] must be an integer >= 0"),
+        ("walks", {"NM": 0}, "walks must give each identity a walk"),
+        ("views", ["090", "090"], "views must be distinct"),
+        ("views", [], "views must be distinct and at least one"),
+        ("scale", [0, 1], "scale must be two positive finite factors"),
+        ("height", 0, "height and width must be >= 1"),
+        ("width", 0, "height and width must be >= 1"),
+        ("test_identities", -1, "test_identities must be >= 0"),
+    ])
+    def test_domain_no_verb_could_load_is_refused_before_out_is_claimed(
+            self, tmp_path, capsys, field, value, message):
+        doc = _tiny_config().to_dict()
+        doc["target"][field] = value
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        rc = main(["gen-data", "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"ERROR E_CONFIG: {message}")
+        assert not out.exists()
+
     def test_batch_the_source_cannot_fill_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         save_config(_tiny_config(batch_k=7), cfg_path)  # tiny source: 6 per identity

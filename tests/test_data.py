@@ -1,8 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +19,9 @@ from gaitadapt.data import (
     sample_pk_batch,
 )
 from gaitadapt.encoder import EncoderShape, SilhouetteSequence, encode_batch, init_params
-from gaitadapt.numerics import make_rng, seed_stream
+from gaitadapt.numerics import WORK_BYTES, make_rng, seed_stream
 
-from conftest import tiny_domain_spec
+from conftest import tiny_domain_spec, traced_peak
 
 
 DESK_SEED1_PIXELS = "b11c0d64cf339a6ed207015d7cbe3efe84152f4eee20b93be804fec692609032"
@@ -210,18 +210,13 @@ class TestGeneration:
             assert s.frames.sum() > 0
 
     def test_split_load_holds_one_copy_of_the_pixels(self, tmp_path):
-        # the split file is read into one buffer and made 0/1 in place: the
-        # traced peak of a load stays near one file's size, not two
+        # the split file streams through one buffer and is never held whole:
+        # the traced peak of a load stays below one file's size
         spec = tiny_domain_spec("L", identities=8, test_identities=1, frames=8,
                                 height=64, width=64)
         generate_domain(spec, tmp_path, domain="t", seed=3)
         size = (tmp_path / "train.pgm").stat().st_size
-        tracemalloc.start()
-        try:
-            ds = load_dataset(tmp_path, split="train")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        ds, peak, _ = traced_peak(lambda: load_dataset(tmp_path, split="train"))
         assert sum(s.frames.size for s in ds.sequences) > 0.99 * size
         assert peak < 1.25 * size
 
@@ -232,12 +227,7 @@ class TestGeneration:
                                 height=64, width=64)
         generate_domain(spec, tmp_path, domain="t", seed=3)
         size = (tmp_path / "train.pgm").stat().st_size
-        tracemalloc.start()
-        try:
-            ds = load_dataset(tmp_path, split="train")
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        ds, _, held = traced_peak(lambda: load_dataset(tmp_path, split="train"))
         assert held <= 0.2 * size
         pixels = sum(s.length for s in ds.sequences) * 64 * 64
         buffer = ds.sequences[0].packed.base
@@ -547,6 +537,82 @@ class TestLoadErrors:
         write_pgm(target, np.ones((3, 3), dtype=np.uint8))
         with pytest.raises(DatasetError, match="M001-nm-01-090.*shape"):
             load_dataset(root)
+
+
+class TestStreamedLoad:
+    """A split streams through one read buffer of at most WORK_BYTES."""
+
+    def test_load_peak_is_the_packed_split_and_one_buffer(self, tmp_path):
+        # 64 x 64 frames, 48 per identity, and at least 8 buffers of pixels
+        per_identity = 48 * 64 * 64
+        spec = tiny_domain_spec("B", identities=-(-8 * WORK_BYTES // per_identity),
+                                test_identities=0, frames=8, height=64, width=64)
+        generate_domain(spec, tmp_path, domain="t", seed=3)
+        pixels = spec.identities * per_identity
+        assert (tmp_path / "train.pgm").stat().st_size > pixels >= 8 * WORK_BYTES
+        ds, peak, held = traced_peak(lambda: load_dataset(tmp_path, split="train"))
+        packed = ds.sequences[0].packed.base.nbytes
+        assert packed == pixels // 8
+        # held is the packed split and the sequence objects
+        assert peak < held + 2 * WORK_BYTES
+
+    def _chunked(self, tiny_source_dir, tmp_path, monkeypatch):
+        # 18 train sequences of four 8 x 8 frames, read 5 frames at a time:
+        # 15 chunks, the last holding frames 70 and 71
+        root = tmp_path / "src"
+        shutil.copytree(tiny_source_dir, root)
+        monkeypatch.setattr(data, "WORK_BYTES", 5 * 64)
+        return root, load_manifest(root).split("train")
+
+    def test_chunked_load_equals_one_chunk(self, tiny_source_dir, tmp_path, monkeypatch):
+        whole = load_dataset(tiny_source_dir, split="train").sequences
+        root, _ = self._chunked(tiny_source_dir, tmp_path, monkeypatch)
+        chunked = load_dataset(root, split="train").sequences
+        assert ([s.packed.tobytes() for s in chunked]
+                == [s.packed.tobytes() for s in whole])
+
+    @pytest.mark.parametrize("frame", [33, 71])
+    def test_corrupt_pixel_in_a_later_chunk_names_its_sample_and_frame(
+            self, tiny_source_dir, tmp_path, monkeypatch, frame):
+        root, records = self._chunked(tiny_source_dir, tmp_path, monkeypatch)
+        target = root / "train.pgm"
+        raw = bytearray(target.read_bytes())
+        raw[len(raw) - 72 * 64 + frame * 64 + 10] = 7
+        target.write_bytes(bytes(raw))
+        with pytest.raises(DatasetError,
+                           match=f"{records[frame // 4].sample_id}: frame {frame % 4}"
+                                 " has non-binary pixel value 7"):
+            load_dataset(root, split="train")
+
+    @pytest.mark.parametrize("cut, message", [
+        (lambda raw: raw[:-10], r"S003-bg-01-090: .*train.pgm: truncated pixel data"),
+        (lambda raw: raw + bytes([255]) * 64, r"S003-bg-01-090: .*train.pgm: 64 bytes of"
+                                              " trailing data after the pixels"),
+        (lambda raw: raw.replace(b"\n8 576\n", b"\n16 288\n", 1),
+         r"S003-bg-01-090: split file .*train.pgm has shape \(288, 16\), expected 72 frames"
+         " of 8x8"),
+    ], ids=["truncated", "trailing", "wrong-shape"])
+    def test_file_errors_name_the_last_sample(self, tiny_source_dir, tmp_path, monkeypatch,
+                                              cut, message):
+        root, _ = self._chunked(tiny_source_dir, tmp_path, monkeypatch)
+        target = root / "train.pgm"
+        target.write_bytes(cut(target.read_bytes()))
+        with pytest.raises(DatasetError, match=message):
+            load_dataset(root, split="train")
+
+    def test_file_cut_while_read_is_an_error(self, tiny_source_dir, tmp_path, monkeypatch):
+        # the file loses its last frame after its size was checked
+        root, _ = self._chunked(tiny_source_dir, tmp_path, monkeypatch)
+        target = root / "train.pgm"
+        real = data._pgm_pixels
+
+        def shrinking(fh, where):
+            shape = real(fh, where)
+            os.truncate(target, target.stat().st_size - 64)
+            return shape
+        monkeypatch.setattr(data, "_pgm_pixels", shrinking)
+        with pytest.raises(DatasetError, match="S003-bg-01-090: .*train.pgm: truncated"):
+            load_dataset(root, split="train")
 
 
 class TestPkSampler:

@@ -1,12 +1,10 @@
 import csv
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from gaitadapt.discovery import (
-    BLOCK_BYTES,
     CurriculumSchedule,
     MemoryBank,
     bank_entropies,
@@ -21,9 +19,9 @@ from gaitadapt.discovery import (
 )
 from gaitadapt.encoder import SilhouetteSequence, encode_sequence, init_params
 from gaitadapt.losses import entropy, row_entropies, softmax_row
-from gaitadapt.numerics import DegenerateInputError, make_rng, seed_stream
+from gaitadapt.numerics import WORK_BYTES, DegenerateInputError, make_rng, seed_stream
 
-from conftest import SMALL_SHAPE, random_sequences, random_unit_rows
+from conftest import SMALL_SHAPE, random_sequences, random_unit_rows, traced_peak
 
 
 def _unit_bank(rng, n, d=4, momentum=0.5, prefix="s"):
@@ -256,14 +254,9 @@ class TestBlockedPass:
         # 16-row blocks and the scan's traced peak stays near the budget
         n = 4000
         bank = _unit_bank(make_rng(19), n, d=16)
-        tracemalloc.start()
-        try:
-            scan_bank(bank, k, tau=0.05)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert block_rows(n) * n * 8 <= BLOCK_BYTES
-        assert peak < 3 * BLOCK_BYTES
+        _, peak, _ = traced_peak(lambda: scan_bank(bank, k, tau=0.05))
+        assert block_rows(n) * n * 8 <= WORK_BYTES
+        assert peak < 3 * WORK_BYTES
 
 
 def _oracle_entropies(bank, tau):

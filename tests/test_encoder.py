@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -16,9 +14,9 @@ from gaitadapt.encoder import (
     load_checkpoint,
     save_checkpoint,
 )
-from gaitadapt.numerics import DegenerateInputError, make_rng, seed_stream
+from gaitadapt.numerics import WORK_BYTES, DegenerateInputError, make_rng, seed_stream
 
-from conftest import SMALL_SHAPE, random_sequences
+from conftest import SMALL_SHAPE, random_sequences, traced_peak
 
 
 def _seq(rng, shape=SMALL_SHAPE, frames=3, sid="s-nm-01-090"):
@@ -169,7 +167,7 @@ class TestForward:
                 for i, k in enumerate([1, 3, 12, 2, 7, 1, 30, 5])]
         single = np.stack([encode_sequence(s, params) for s in seqs])
         assert np.array_equal(encode_batch(seqs, params).embeddings, single)
-        monkeypatch.setattr(encoder_module, "CHUNK_FRAMES", 8)
+        monkeypatch.setattr(encoder_module, "WORK_BYTES", 8 * shape.frame_bytes)
         assert np.array_equal(encoder_module.encode_sequences(seqs, params), single)
 
     def test_encode_sequences_holds_one_output(self, monkeypatch):
@@ -179,16 +177,23 @@ class TestForward:
         params = init_params(shape, seed_stream(17, 0))
         params.tensors["strip.bias"] += 0.1  # no zero embedding
         seqs = random_sequences(make_rng(17), 500, 2, shape=shape, frames=1, prefix="big")
-        monkeypatch.setattr(encoder_module, "CHUNK_FRAMES", 8)
+        monkeypatch.setattr(encoder_module, "WORK_BYTES", 8 * shape.frame_bytes)
         out_bytes = len(seqs) * shape.embed_dim * 8
-        tracemalloc.start()
-        try:
-            out = encoder_module.encode_sequences(seqs, params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak, _ = traced_peak(lambda: encoder_module.encode_sequences(seqs, params))
         assert out.nbytes == out_bytes
         assert peak < 1.3 * out_bytes
+
+    def test_encode_chunk_is_bounded_by_the_budget(self):
+        # at the desk encoder's shape a chunk's float64 band inputs and
+        # activations take at most WORK_BYTES, so 400 sequences of 4 frames
+        # peak at the output plus about one budget
+        shape = EncoderShape(24, 24, 8, 16, 3, 112)
+        params = init_params(shape, seed_stream(18, 0))
+        params.tensors["strip.bias"] += 0.1  # no zero embedding
+        seqs = random_sequences(make_rng(18), 100, 4, shape=shape, frames=4)
+        out, peak, _ = traced_peak(lambda: encoder_module.encode_sequences(seqs, params))
+        assert sum(s.length for s in seqs) * shape.frame_bytes > 3 * WORK_BYTES
+        assert peak < out.nbytes + 1.5 * WORK_BYTES
 
     def test_empty_batch_rejected(self, small_params):
         with pytest.raises(ValueError, match="at least one sequence"):
