@@ -98,6 +98,13 @@ class DomainSpec:
             raise ValueError(f"height and width must be >= 1, got {self.height}x{self.width}")
         if not self.views or len(set(self.views)) != len(self.views):
             raise ValueError(f"views must be distinct and at least one, got {list(self.views)}")
+        for view in self.views:
+            try:
+                angle = float(view)
+            except (TypeError, ValueError):
+                angle = math.nan
+            if not math.isfinite(angle):
+                raise ValueError(f"views must be finite angles in degrees, got {view!r}")
         if len(self.scale) != 2 or not all(0 < s < math.inf for s in self.scale):
             raise ValueError(f"scale must be two positive finite factors, got {self.scale!r}")
         lo, hi = self.body_jitter

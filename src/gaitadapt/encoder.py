@@ -12,8 +12,11 @@ one stacked strip.weight (n_strips, strip_dim, channels) and strip.bias
 A SilhouetteSequence holds its frames one bit per pixel, packed along the
 width. One batched forward pass (encode_batch) unpacks a batch in one call
 and serves training, bank building and evaluation; it returns a trace that
-the hand-written reverse-mode pass (encode_backward) reuses. Gradients are
-validated against central finite differences in the test suite.
+the hand-written reverse-mode pass (encode_backward) reuses. Max pooling
+sends each pooled cell's gradient to one frame, so the backward pass runs
+its layer products over the (frame, band) rows that carry a nonzero
+gradient only. Gradients are validated against central finite differences
+in the test suite.
 """
 
 from __future__ import annotations
@@ -298,6 +301,36 @@ def encode_sequences(seqs: list[SilhouetteSequence], params: EncoderParams) -> n
     return out
 
 
+def _unpool(trace: EncoderTrace, dpooled: np.ndarray, shape: EncoderShape
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """The (frame, band) rows that take a nonzero gradient from the pooled
+    map, as flat indices in input order, and their (rows, C) gradients.
+
+    Each cell's gradient goes to the first frame of its sequence that
+    equals the pooled max, and through the ReLU where that max is above 0.
+    Row slot[r] of the result is row r; cells that carry no gradient land
+    in one spare last row, which is dropped. The working arrays are freed
+    on return, before the caller gathers the rows' activations.
+    """
+    pooled = trace.pooled
+    # frame k of K weighs K - k, so the largest weight among the frames that
+    # reach the max names the first of them: a max over frames, which numpy
+    # runs far faster than an argmax over that axis
+    kmax = trace.stacked.shape[1]
+    weights = np.arange(kmax, 0, -1, dtype=np.min_scalar_type(kmax))[:, None, None]
+    first = kmax - ((trace.stacked == pooled[:, None]) * weights).max(axis=1)   # (n, B, C)
+    row = (trace.starts[:, None, None] + first) * shape.bands + np.arange(shape.bands)[:, None]
+    dv = np.where(pooled > 0.0, dpooled, 0.0)
+    won = np.zeros(len(trace.x) * shape.bands, dtype=bool)
+    won[row[dv != 0.0]] = True
+    rows = np.flatnonzero(won)
+    slot = np.full(len(won), len(rows))
+    slot[rows] = np.arange(len(rows))
+    dz2 = np.zeros((len(rows) + 1) * shape.channels)
+    dz2[slot[row] * shape.channels + np.arange(shape.channels)] = dv
+    return rows, dz2.reshape(-1, shape.channels)[:-1]
+
+
 def encode_backward(
     seqs: list[SilhouetteSequence],
     params: EncoderParams,
@@ -308,9 +341,11 @@ def encode_backward(
 
     trace is encode_batch(seqs, params) from the same parameters; without
     it the forward pass runs here. Max pooling routes each cell's gradient
-    to the lowest-index winning frame; ReLU uses subgradient 0 at 0. Sums
-    over sequences and frames are fixed by the input order, so results are
-    deterministic.
+    to the lowest-index winning frame; ReLU uses subgradient 0 at 0. The
+    mixing- and frame-layer products run over the (frame, band) rows that
+    take a nonzero gradient only, gathered from the trace in input order;
+    the other rows would add exact zeros. Sums over sequences and frames
+    are fixed by the input order, so results are deterministic.
     """
     shape = params.shape
     demb = np.asarray(grad_embeddings, dtype=np.float64)
@@ -342,22 +377,12 @@ def encode_backward(
         bands = dpooled.reshape(n, g, -1, shape.channels)
         bands += (dm[g - 1:2 * g - 1] / bands.shape[2]).transpose(1, 0, 2)[:, :, None, :]
 
-    # unpool: each cell's gradient goes to the first frame of its sequence
-    # that equals the pooled max, and through the ReLU where that max is
-    # above 0; rows of dv are (frame, band) pairs in input order
-    pooled = trace.pooled
-    first = np.argmax(trace.stacked == pooled[:, None], axis=1)     # (n, B, C)
-    cells = pooled[0].size
-    at = (trace.starts[:, None, None] + first) * cells + np.arange(cells).reshape(pooled.shape[1:])
-    dv = np.zeros(len(trace.x) * cells)
-    dv[at] = np.where(pooled > 0.0, dpooled, 0.0)
-
-    dz2 = dv.reshape(-1, shape.channels)
-    u = trace.u.reshape(-1, shape.channels)
+    rows, dz2 = _unpool(trace, dpooled, shape)
+    u = trace.u.reshape(-1, shape.channels).take(rows, axis=0)
     grads["mix.weight"] = dz2.T @ u
     grads["mix.bias"] = dz2.sum(axis=0)
     dz1 = (dz2 @ params["mix.weight"]) * (u > 0.0)
-    grads["frame.weight"] = dz1.T @ trace.x.reshape(-1, shape.band_pixels)
+    grads["frame.weight"] = dz1.T @ trace.x.reshape(-1, shape.band_pixels).take(rows, axis=0)
     grads["frame.bias"] = dz1.sum(axis=0)
     return {name: grads[name] for name, _ in _param_layout(shape)}
 

@@ -246,6 +246,9 @@ class TestGenData:
         ("height", 0, "height and width must be >= 1"),
         ("width", 0, "height and width must be >= 1"),
         ("test_identities", -1, "test_identities must be >= 0"),
+        ("views", ["090", "nan"], "views must be finite angles in degrees, got 'nan'"),
+        ("views", ["inf"], "views must be finite angles in degrees, got 'inf'"),
+        ("views", ["abc"], "views must be finite angles in degrees, got 'abc'"),
     ])
     def test_domain_no_verb_could_load_is_refused_before_out_is_claimed(
             self, tmp_path, capsys, field, value, message):

@@ -1,8 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import gaitadapt.encoder as encoder_module
-from gaitadapt.config import ExperimentConfig, load_config, preset_config, save_config
+from gaitadapt.config import (
+    ExperimentConfig,
+    default_encoder_shape,
+    default_source_spec,
+    load_config,
+    preset_config,
+    save_config,
+)
+from gaitadapt.data import generate_domain, load_dataset
 from gaitadapt.encoder import (
     EncoderParams,
     EncoderShape,
@@ -273,6 +283,16 @@ class TestPackedFrames:
         assert (again.condition, again.view, again.domain) == ("NM", "000", "")
 
 
+@pytest.fixture(scope="module")
+def desk_batch(tmp_path_factory):
+    """64 walker silhouettes of 12 frames at the desk encoder's 24 x 24:
+    6 144 (frame, band) rows, of which about one in nine wins a live cell."""
+    root = tmp_path_factory.mktemp("desk_batch")
+    spec = dataclasses.replace(default_source_spec(), identities=7, test_identities=0)
+    generate_domain(spec, root, domain="source", seed=5)
+    return load_dataset(root, "train").sequences[:64]
+
+
 def _reduceat_backward(seqs, params, grad_embeddings):
     """encode_backward as a segment max and a per-segment min over winner
     candidates: pooled by maximum.reduceat, unpooled by minimum.reduceat
@@ -413,6 +433,66 @@ class TestBackward:
         for name in params.names():
             assert got[name].tobytes() == want[name].tobytes(), name
         assert np.array_equal(encode_batch(seqs, params).pooled, want["pooled"])
+
+    def test_matches_reduceat_unpool_on_a_desk_batch(self, desk_batch):
+        # thousands of rows, few of them winners; every third sequence has a
+        # zero embedding gradient and so sends no row to the layer products
+        shape = default_encoder_shape()
+        params = init_params(shape, seed_stream(29, 0))
+        gs = make_rng(29).standard_normal((len(desk_batch), shape.embed_dim))
+        gs[::3] = 0.0
+        assert sum(s.length for s in desk_batch) * shape.bands >= 1536
+        want = _reduceat_backward(desk_batch, params, gs)
+        got = encode_backward(desk_batch, params, gs)
+        for name in params.names():
+            assert np.linalg.norm(want[name]) > 0.0, name
+            err = np.linalg.norm(got[name] - want[name])
+            assert err <= 1e-12 * np.linalg.norm(want[name]), name
+
+    def test_winner_past_frame_255_is_routed(self):
+        # frame weights outgrow one byte past 255 frames
+        params = init_params(SMALL_SHAPE, seed_stream(31, 0))
+        rng = make_rng(31)
+        seqs = [_seq(rng, frames=300, sid="long-nm-01-000"), _seq(rng, sid="short-nm-01-000")]
+        trace = encode_batch(seqs, params)
+        assert np.argmax(trace.stacked == trace.pooled[:, None], axis=1).max() >= 256
+        gs = rng.standard_normal((2, SMALL_SHAPE.embed_dim))
+        want = _reduceat_backward(seqs, params, gs)
+        got = encode_backward(seqs, params, gs, trace=trace)
+        for name in params.names():
+            err = np.linalg.norm(got[name] - want[name])
+            assert err <= 1e-12 * np.linalg.norm(want[name]), name
+
+    def test_no_live_cell_leaves_only_strip_gradients(self):
+        # a far negative mix.bias kills every pooled cell; strip.bias keeps
+        # the embeddings nonzero
+        params = init_params(SMALL_SHAPE, seed_stream(30, 0))
+        params.tensors["mix.bias"] -= 100.0
+        params.tensors["strip.bias"] += 0.1
+        rng = make_rng(30)
+        seqs = random_sequences(rng, 3, 1, frames=4, prefix="dead")
+        gs = rng.standard_normal((len(seqs), SMALL_SHAPE.embed_dim))
+        assert not encode_batch(seqs, params).pooled.any()
+        want = _reduceat_backward(seqs, params, gs)
+        got = encode_backward(seqs, params, gs)
+        for name in ("frame.weight", "frame.bias", "mix.weight", "mix.bias"):
+            assert got[name].shape == params[name].shape, name
+            assert not got[name].any(), name
+        for name in ("strip.weight", "strip.bias"):
+            assert np.array_equal(got[name], want[name]), name
+
+    def test_layer_products_skip_rows_without_gradient(self, desk_batch):
+        # the products gather only the rows that won a live cell. Products
+        # over all 6 144 rows peak at 2.07 MB on this batch, 2.6 times one
+        # (frame, band, channel) float64 array, and gathering every row's
+        # band inputs alone would take 4.5 times it
+        shape = default_encoder_shape()
+        params = init_params(shape, seed_stream(0, 0))
+        trace = encode_batch(desk_batch, params)
+        gs = make_rng(0).standard_normal((len(desk_batch), shape.embed_dim))
+        dense = len(trace.x) * shape.bands * shape.channels * 8
+        _, peak, _ = traced_peak(lambda: encode_backward(desk_batch, params, gs, trace=trace))
+        assert peak <= 1.3 * dense
 
     def test_accumulates_over_sequences(self, small_params):
         rng = make_rng(20)
