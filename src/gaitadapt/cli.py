@@ -9,7 +9,6 @@ the same platform.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import logging
@@ -31,10 +30,10 @@ from .config import (
     save_config,
 )
 from .data import DatasetError, generate_domain, load_dataset
-from .discovery import STRATEGIES, dump_round_diagnostics
+from .discovery import STRATEGIES
 from .encoder import EncoderParams, encode_sequences, load_checkpoint, save_checkpoint
 from .evaluation import ProtocolError, Rank1Result, check_protocol, make_protocol, rank1
-from .files import write_json
+from .files import replacing, write_csv, write_json
 from .pipeline import RoundState, RunLog, adapt_target, pretrain_source
 
 log = logging.getLogger("gaitadapt")
@@ -102,21 +101,36 @@ def run_scope(args, verb: str, args_doc: dict) -> Iterator[Run]:
     marker.write_text(verb + "\n")
 
 
+def _round_rows(state: RoundState) -> Iterator[list]:
+    """One row per sample, in id order: id, entropy, selected flag, neighbor ids."""
+    ids = state.ids
+    chosen = np.zeros(len(ids), dtype=bool)
+    chosen[state.selected] = True
+    h, flags, hoods = state.entropies.tolist(), chosen.tolist(), state.neighbors.tolist()
+    for i in sorted(range(len(ids)), key=ids.__getitem__):
+        yield [ids[i], repr(h[i]), int(flags[i]), ";".join(ids[j] for j in hoods[i])]
+
+
 def write_stage(path: Callable[[str], Path], params: EncoderParams, runlog: RunLog,
                 rounds: Iterable[RoundState] = ()) -> Path:
     """Write a training stage: checkpoint.json, runlog.csv, timing.txt and one
-    discovery_round<r>.csv per adaptation round. path(name) gives each
-    file's destination; Run.path registers it before it is written. Returns
-    the checkpoint path.
+    discovery_round<r>.csv per adaptation round. This is the only writer of
+    these files. path(name) gives each file's destination; Run.path
+    registers it before it is written. Returns the checkpoint path.
+
+    runlog.csv is deterministic; the stage's wall time goes to timing.txt.
     """
     checkpoint = path("checkpoint.json")
     checkpoint.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(params, checkpoint)
-    runlog.to_csv(path("runlog.csv"))
-    runlog.write_timing(path("timing.txt"))
+    write_csv(path("runlog.csv"), ["stage", "round", "epoch", "loss", "learning_rate"],
+              ([r.stage, r.round_index, r.epoch, repr(r.loss), repr(r.learning_rate)]
+               for r in runlog.records))
+    with replacing(path("timing.txt")) as tmp:
+        tmp.write_text(f"total_seconds: {runlog.seconds:.3f}\n")
     for state in rounds:
-        dump_round_diagnostics(path(f"discovery_round{state.round_index}.csv"), state.ids,
-                               state.entropies, state.selected, state.neighbors)
+        write_csv(path(f"discovery_round{state.round_index}.csv"),
+                  ["sample_id", "entropy", "selected", "neighbor_ids"], _round_rows(state))
     return checkpoint
 
 
@@ -242,34 +256,20 @@ def write_ablation_tables(results: dict, out: Path, seeds: list[int]) -> None:
     with mean and spread (population std, ddof=0, so a single seed reads 0)
     per metric over the seeds that have a value. A missing value is an
     empty cell in both tables."""
-    all_cols: list[str] = []
+    cols = {(m, s): _metric_columns(results[m][s]) for m in ABLATE_METHODS for s in seeds}
+    names = list(dict.fromkeys(c for row in cols.values() for c in row))
+    write_csv(out / "details.csv", ["method", "seed", *names],
+              ([m, s, *(_cell(cols[m, s].get(c)) for c in names)] for m, s in cols))
+    comparison = []
     for m in ABLATE_METHODS:
-        for seed in seeds:
-            for c in _metric_columns(results[m][seed]):
-                if c not in all_cols:
-                    all_cols.append(c)
-
-    with open(out / "details.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "seed"] + all_cols)
-        for m in ABLATE_METHODS:
-            for seed in seeds:
-                cols = _metric_columns(results[m][seed])
-                w.writerow([m, seed] + [_cell(cols.get(c)) for c in all_cols])
-
-    with open(out / "comparison.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["method", "seeds"]
-        for c in all_cols:
-            header += [f"{c}_mean", f"{c}_spread"]
-        w.writerow(header)
-        for m in ABLATE_METHODS:
-            row = [m, ";".join(str(s) for s in seeds)]
-            for c in all_cols:
-                vals = [v for s in seeds
-                        if (v := _metric_columns(results[m][s]).get(c)) is not None]
-                row += [_cell(float(f(vals)) if vals else None) for f in (np.mean, np.std)]
-            w.writerow(row)
+        row = [m, ";".join(str(s) for s in seeds)]
+        for c in names:
+            vals = [v for s in seeds if (v := cols[m, s].get(c)) is not None]
+            row += [_cell(float(f(vals)) if vals else None) for f in (np.mean, np.std)]
+        comparison.append(row)
+    write_csv(out / "comparison.csv",
+              ["method", "seeds", *(f"{c}_{stat}" for c in names for stat in ("mean", "spread"))],
+              comparison)
 
 
 def _parse_seeds(text: str) -> list[int]:

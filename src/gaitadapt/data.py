@@ -108,8 +108,9 @@ class DomainSpec:
         if len(self.scale) != 2 or not all(0 < s < math.inf for s in self.scale):
             raise ValueError(f"scale must be two positive finite factors, got {self.scale!r}")
         lo, hi = self.body_jitter
-        if not 0.0 <= lo <= hi:
-            raise ValueError(f"body_jitter range must satisfy 0 <= lo <= hi, got {self.body_jitter!r}")
+        if not 0.0 <= lo <= hi < math.inf:
+            raise ValueError(
+                f"body_jitter must be finite bounds with 0 <= lo <= hi, got {self.body_jitter!r}")
         for c, n in self.walks.items():
             if c not in CONDITIONS:
                 raise ValueError(f"unknown condition {c!r}, expected one of {CONDITIONS}")

@@ -10,16 +10,14 @@ so no N x N array is ever held and a block does not grow with N below
 N = 8 192: each block's product gives both the k nearest neighbors and,
 over the temperature, the entropies (losses.row_entropies, one exponential
 per similarity). A round's state is index arrays over the bank; sample ids
-appear only in the diagnostics CSV and in the id-keyed wrappers
-(discover_neighborhoods, rank_and_select).
+appear only in the diagnostics CSV, which cli.write_stage writes from that
+state, and in the id-keyed wrappers (discover_neighborhoods,
+rank_and_select). Nothing here reads or writes a file.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -271,30 +269,3 @@ def rank_and_select(
     selected = tuple(bank.ids[i] for i in order[:n_sel])
     entropies = {bank.ids[i]: float(h[i]) for i in range(bank.size)}
     return replace(schedule, entropies=entropies, selected=selected)
-
-
-def dump_round_diagnostics(
-    path: str | Path,
-    ids: Sequence[str],
-    entropies: np.ndarray,
-    selected: np.ndarray,
-    neighbors: np.ndarray,
-) -> None:
-    """One row per sample, in id order: id, entropy, selected flag, neighbor ids.
-
-    ids[i] is the sample at bank index i; entropies, selected and neighbors
-    are scan_bank and curriculum_order results over those indices.
-    """
-    chosen = np.zeros(len(ids), dtype=bool)
-    chosen[selected] = True
-    h, flags, hoods = entropies.tolist(), chosen.tolist(), neighbors.tolist()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample_id", "entropy", "selected", "neighbor_ids"])
-        for i in sorted(range(len(ids)), key=ids.__getitem__):
-            w.writerow([
-                ids[i],
-                repr(h[i]),
-                int(flags[i]),
-                ";".join(ids[j] for j in hoods[i]),
-            ])

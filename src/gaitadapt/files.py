@@ -1,16 +1,18 @@
 """The file layer: every JSON artifact that later runs load (manifests,
-checkpoints, configs, run arguments, results) is written and read here.
-These and the dataset split files are written through replacing(), one
-temporary file renamed into place.
+checkpoints, configs, run arguments, results) is written and read here,
+and every CSV table (training logs, round diagnostics, ablation tables) is
+written here. These and the dataset split files are written through
+replacing(), one temporary file renamed into place.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 
 @contextmanager
@@ -38,6 +40,17 @@ def write_json(path: str | Path, doc: dict) -> None:
     text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
     with replacing(path) as tmp:
         tmp.write_text(text)
+
+
+def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
+    """Write the header row and then rows as CSV through replacing(path).
+
+    rows may be a generator; if it raises, path is left as it was.
+    """
+    with replacing(path) as tmp, open(tmp, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def read_json(path: str | Path, error: type[Exception]) -> dict:

@@ -8,10 +8,8 @@ adaptation rounds.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -76,7 +74,7 @@ class TrainConfig:
             raise ValueError(f"margin must be > 0, got {self.margin!r}")
         if not self.tau > 0:
             raise ValueError(f"tau must be > 0, got {self.tau!r}")
-        for name in ("learning_rate", "adapt_learning_rate"):
+        for name in ("learning_rate", "adapt_learning_rate", "decay_factor"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if not 0.0 <= self.bank_momentum < 1.0:
@@ -99,12 +97,12 @@ class EpochRecord:
     epoch: int
     loss: float
     learning_rate: float
-    wall_time: float  # seconds; excluded from the canonical CSV
 
 
 @dataclass
 class RunLog:
     records: list[EpochRecord] = field(default_factory=list)
+    seconds: float = 0.0  # the whole stage's wall time, kept out of the records
 
     def add(self, **kw) -> None:
         rec = EpochRecord(**kw)
@@ -114,19 +112,6 @@ class RunLog:
                     raise ValueError("epochs must strictly increase within a stage/round")
                 break
         self.records.append(rec)
-
-    def to_csv(self, path: str | Path) -> None:
-        """Deterministic table; wall time goes to a sidecar, not here."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["stage", "round", "epoch", "loss", "learning_rate"])
-            for r in self.records:
-                w.writerow([r.stage, r.round_index, r.epoch, repr(r.loss),
-                            repr(r.learning_rate)])
-
-    def write_timing(self, path: str | Path) -> None:
-        total = sum(r.wall_time for r in self.records)
-        Path(path).write_text(f"total_seconds: {total:.3f}\n")
 
 
 def lr_at(epoch: int, cfg: TrainConfig, stage: str = "adapt") -> float:
@@ -156,14 +141,12 @@ def pretrain_source(
 
     Each epoch draws ceil(N / (p*k)) independent p-by-k batches.
     """
+    t0 = time.perf_counter()
     params = init_params(shape, seed_stream(cfg.seed, _ROLE_INIT))
     log = RunLog()
-    if cfg.pretrain_epochs == 0:
-        return params, log
     per_batch = cfg.batch_p * cfg.batch_k
     batches_per_epoch = max(1, -(-len(seqs) // per_batch))
     for epoch in range(1, cfg.pretrain_epochs + 1):
-        t0 = time.perf_counter()
         lr = lr_at(epoch, cfg, stage="pretrain")
         rng = seed_stream(cfg.seed, _ROLE_PRETRAIN, epoch)
         losses = []
@@ -176,8 +159,8 @@ def pretrain_source(
             _sgd_step(params, grads, lr)
             losses.append(loss)
         log.add(stage="pretrain", round_index=0, epoch=epoch,
-                loss=float(np.mean(losses)), learning_rate=lr,
-                wall_time=time.perf_counter() - t0)
+                loss=float(np.mean(losses)), learning_rate=lr)
+    log.seconds = time.perf_counter() - t0
     return params, log
 
 
@@ -212,6 +195,7 @@ def adapt_target(
     anchor batches against the (momentum-updated) bank snapshot.
     Neighborhoods and the selection stay frozen within a round.
     """
+    t0 = time.perf_counter()
     if len(seqs) < 2:
         raise ValueError("target adaptation needs at least 2 samples")
     if len(seqs) < cfg.neighbors + 1:
@@ -237,7 +221,6 @@ def adapt_target(
         members = np.concatenate([np.arange(n)[:, None], neighbors], axis=1)
 
         for e in range(1, cfg.epochs_per_round + 1):
-            t0 = time.perf_counter()
             epoch_global += 1
             lr = lr_at(epoch_global, cfg)
             rng = seed_stream(cfg.seed, _ROLE_ADAPT, r, e)
@@ -256,9 +239,9 @@ def adapt_target(
                 epoch_loss += loss
             # the loss is a sum over anchors; log its mean per anchor
             log.add(stage="adapt", round_index=r, epoch=epoch_global,
-                    loss=epoch_loss / n_sel,
-                    learning_rate=lr, wall_time=time.perf_counter() - t0)
+                    loss=epoch_loss / n_sel, learning_rate=lr)
         rounds.append(RoundState(r, ids, neighbors, h, selected))
         del bank  # before the next round builds its own
+    log.seconds = time.perf_counter() - t0
     return params, log, rounds
 

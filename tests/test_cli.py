@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import shlex
 import shutil
@@ -249,6 +250,7 @@ class TestGenData:
         ("views", ["090", "nan"], "views must be finite angles in degrees, got 'nan'"),
         ("views", ["inf"], "views must be finite angles in degrees, got 'inf'"),
         ("views", ["abc"], "views must be finite angles in degrees, got 'abc'"),
+        ("body_jitter", [0.0, math.inf], "body_jitter must be finite bounds"),  # Infinity
     ])
     def test_domain_no_verb_could_load_is_refused_before_out_is_claimed(
             self, tmp_path, capsys, field, value, message):

@@ -12,14 +12,15 @@ from gaitadapt.discovery import (
     build_bank,
     curriculum_order,
     discover_neighborhoods,
-    dump_round_diagnostics,
     rank_and_select,
     scan_bank,
     update_bank,
 )
+from gaitadapt.cli import write_stage
 from gaitadapt.encoder import SilhouetteSequence, encode_sequence, init_params
 from gaitadapt.losses import entropy, row_entropies, softmax_row
 from gaitadapt.numerics import WORK_BYTES, DegenerateInputError, make_rng, seed_stream
+from gaitadapt.pipeline import RoundState, RunLog
 
 from conftest import SMALL_SHAPE, random_sequences, random_unit_rows, traced_peak
 
@@ -376,6 +377,14 @@ class TestRankAndSelect:
         assert prev == set(bank.ids)
 
 
+def _round_csv(directory, bank, h, selected, neighbors):
+    """The round CSV that write_stage writes for one round's scan results."""
+    state = RoundState(1, bank.ids, neighbors, h, np.asarray(selected, dtype=np.intp))
+    params = init_params(SMALL_SHAPE, seed_stream(0, 0))
+    write_stage(directory.joinpath, params, RunLog(), [state])
+    return directory / "discovery_round1.csv"
+
+
 class TestRoundDiagnostics:
     def test_csv_content(self, tmp_path):
         e = np.eye(3)
@@ -385,8 +394,7 @@ class TestRoundDiagnostics:
         hoods = discover_neighborhoods(bank, 1)
         neighbors, h = scan_bank(bank, 1, 1.0)
         selected = [bank.index[sid] for sid in sched.selected]
-        path = tmp_path / "round1.csv"
-        dump_round_diagnostics(path, bank.ids, h, selected, neighbors)
+        path = _round_csv(tmp_path, bank, h, selected, neighbors)
 
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -405,6 +413,5 @@ class TestRoundDiagnostics:
         bank = _unit_bank(rng, 6)
         neighbors, h = scan_bank(bank, 2, 0.1)
         selected = curriculum_order(h, bank.id_rank, "low", rng)[:3]
-        dump_round_diagnostics(tmp_path / "a.csv", bank.ids, h, selected, neighbors)
-        dump_round_diagnostics(tmp_path / "b.csv", bank.ids, h, selected, neighbors)
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        a, b = (_round_csv(tmp_path / d, bank, h, selected, neighbors) for d in "ab")
+        assert a.read_bytes() == b.read_bytes()

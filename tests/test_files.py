@@ -1,5 +1,5 @@
-"""Artifacts that later runs load are replaced atomically, and malformed
-documents raise the reader's error type."""
+"""Artifacts that later runs load, and every CSV table, are replaced
+atomically, and malformed documents raise the reader's error type."""
 
 import json
 import pathlib
@@ -9,7 +9,7 @@ import pytest
 
 from gaitadapt.config import ExperimentConfig, load_config, preset_config, save_config
 from gaitadapt.encoder import init_params, load_checkpoint, save_checkpoint
-from gaitadapt.files import read_json, write_json
+from gaitadapt.files import read_json, write_csv, write_json
 from gaitadapt.numerics import seed_stream
 from gaitadapt.pipeline import TrainConfig
 
@@ -80,3 +80,17 @@ def test_read_json_missing_file_is_not_found(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_json(tmp_path / "none.json", _ArtifactError)
 
+
+@pytest.mark.parametrize("previous", [None, "kept\n"])
+def test_csv_whose_rows_raise_leaves_the_previous_file(previous, tmp_path):
+    path = tmp_path / "table.csv"
+    if previous is not None:
+        path.write_text(previous)
+
+    def rows():
+        yield ["a", 1]
+        raise RuntimeError("row failed")
+    with pytest.raises(RuntimeError, match="row failed"):
+        write_csv(path, ["name", "value"], rows())
+    assert (path.read_text() if path.exists() else None) == previous
+    assert [p.name for p in tmp_path.iterdir()] == ([] if previous is None else ["table.csv"])

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +33,10 @@ def target_train(tiny_target_dir):
     return load_dataset(tiny_target_dir).split("train")
 
 
+def _params(seed):
+    return init_params(PIPE_SHAPE, seed_stream(seed, 0))
+
+
 def _params_equal(a, b):
     return all(np.array_equal(a[n], b[n]) for n in a.names())
 
@@ -62,7 +67,7 @@ class TestTrainConfig:
         dict(margin=0.0), dict(tau=0.0), dict(learning_rate=-1e-3),
         dict(adapt_learning_rate=-1e-3), dict(bank_momentum=1.0),
         dict(neighbors=0), dict(rounds=0), dict(epochs_per_round=-1),
-        dict(strategy="middle"), dict(seed=-1),
+        dict(strategy="middle"), dict(seed=-1), dict(decay_factor=-1.0),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
@@ -71,6 +76,7 @@ class TestTrainConfig:
     def test_zero_rates_allowed(self):
         assert TrainConfig(learning_rate=0.0).learning_rate == 0.0
         assert TrainConfig(adapt_learning_rate=0.0).adapt_learning_rate == 0.0
+        assert lr_at(151, TrainConfig(decay_factor=0.0), "pretrain") == 0.0
 
 
 class TestLrSchedule:
@@ -258,23 +264,32 @@ def _arrays_within(value, seen=None):
         yield from _arrays_within(vars(value), seen)
 
 
+def _stage_files(tmp_path, params, runlog, rounds=()):
+    """write_stage into tmp_path/name; returns the written paths by name."""
+    written = {}
+
+    def path(name):
+        written[name] = tmp_path / name
+        return written[name]
+
+    write_stage(path, params, runlog, rounds)
+    return written
+
+
 class TestRunLog:
     def test_epochs_must_increase_within_stage_round(self):
         log = RunLog()
-        log.add(stage="adapt", round_index=1, epoch=1, loss=0.5,
-                learning_rate=0.1, wall_time=0.0)
-        log.add(stage="adapt", round_index=2, epoch=2, loss=0.4,
-                learning_rate=0.1, wall_time=0.0)
+        log.add(stage="adapt", round_index=1, epoch=1, loss=0.5, learning_rate=0.1)
+        log.add(stage="adapt", round_index=2, epoch=2, loss=0.4, learning_rate=0.1)
         with pytest.raises(ValueError, match="strictly increase"):
-            log.add(stage="adapt", round_index=2, epoch=2, loss=0.3,
-                    learning_rate=0.1, wall_time=0.0)
+            log.add(stage="adapt", round_index=2, epoch=2, loss=0.3, learning_rate=0.1)
 
     def test_csv_round_trips_floats(self, tmp_path):
-        log = RunLog()
+        log = RunLog(seconds=2.5)
         log.add(stage="pretrain", round_index=0, epoch=1, loss=1 / 3,
-                learning_rate=1e-5 * 0.1, wall_time=2.5)
-        log.to_csv(tmp_path / "log.csv")
-        with open(tmp_path / "log.csv", newline="") as fh:
+                learning_rate=1e-5 * 0.1)
+        path = _stage_files(tmp_path, _params(0), log)["runlog.csv"]
+        with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["stage", "round", "epoch", "loss", "learning_rate"]
         assert rows[1][:3] == ["pretrain", "0", "1"]
@@ -283,22 +298,34 @@ class TestRunLog:
         assert "wall" not in rows[0]
 
     def test_csv_bytes_deterministic(self, tmp_path):
-        log = RunLog()
-        for e in (1, 2):
-            log.add(stage="adapt", round_index=1, epoch=e, loss=0.1 * e,
-                    learning_rate=1e-3, wall_time=e * 0.7)
-        log.to_csv(tmp_path / "a.csv")
-        log.to_csv(tmp_path / "b.csv")
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        logs = [RunLog(seconds=s) for s in (0.7, 1.4)]
+        for log in logs:
+            for e in (1, 2):
+                log.add(stage="adapt", round_index=1, epoch=e, loss=0.1 * e,
+                        learning_rate=1e-3)
+        a, b = (_stage_files(tmp_path / d, _params(0), log)["runlog.csv"]
+                for d, log in zip("ab", logs))
+        assert a.read_bytes() == b.read_bytes()
 
     def test_timing_sidecar(self, tmp_path):
-        log = RunLog()
-        log.add(stage="adapt", round_index=1, epoch=1, loss=0.1,
-                learning_rate=1e-3, wall_time=1.25)
-        log.add(stage="adapt", round_index=1, epoch=2, loss=0.1,
-                learning_rate=1e-3, wall_time=0.75)
-        log.write_timing(tmp_path / "timing.txt")
-        assert (tmp_path / "timing.txt").read_text() == "total_seconds: 2.000\n"
+        log = RunLog(seconds=2.0)
+        log.add(stage="adapt", round_index=1, epoch=1, loss=0.1, learning_rate=1e-3)
+        path = _stage_files(tmp_path, _params(0), log)["timing.txt"]
+        assert path.read_text() == "total_seconds: 2.000\n"
+
+    def test_timing_covers_bank_scans(self, target_train, tmp_path, monkeypatch):
+        # the scans run between epochs, so only a stage-level clock sees them
+        scan = pipeline.scan_bank
+
+        def slow_scan(*args, **kwargs):
+            time.sleep(0.05)
+            return scan(*args, **kwargs)
+        monkeypatch.setattr(pipeline, "scan_bank", slow_scan)
+        params, runlog, rounds = adapt_target(target_train, _params(0),
+                                              _small_cfg(rounds=2))
+        assert runlog.seconds >= 0.1
+        timing = _stage_files(tmp_path, params, runlog, rounds)["timing.txt"]
+        assert float(timing.read_text().split(":")[1]) >= 0.1
 
 
 class TestRoundFiles:
@@ -306,14 +333,8 @@ class TestRoundFiles:
         params, _ = pretrain_source(source_train, PIPE_SHAPE,
                                     _small_cfg(pretrain_epochs=2))
         adapted, runlog, rounds = adapt_target(target_train, params, _small_cfg())
-        written = []
-
-        def path(name):
-            written.append(tmp_path / "rounds" / name)
-            return written[-1]
-
-        write_stage(path, adapted, runlog, rounds)
-        round_files = [p for p in written if p.name.startswith("discovery_round")]
+        written = _stage_files(tmp_path / "rounds", adapted, runlog, rounds)
+        round_files = [p for p in written.values() if p.name.startswith("discovery_round")]
         assert [p.name for p in round_files] == [
             "discovery_round1.csv", "discovery_round2.csv"]
         for p in round_files:
