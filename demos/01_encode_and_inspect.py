@@ -38,7 +38,7 @@ print(f"embedding: dim {emb.shape[0]}, norm {np.linalg.norm(emb):.12f}")
 
 # set pooling: a shuffled copy of the frames encodes to the same bits
 rng = make_rng(1)
-shuffled = dataclasses.replace(seq, frames=seq.frames[rng.permutation(len(seq.frames))])
+shuffled = dataclasses.replace(seq, packed=seq.packed[rng.permutation(seq.length)])
 assert np.array_equal(encode_sequence(shuffled, params), emb)
 print("frame order shuffled -> bit-identical embedding")
 

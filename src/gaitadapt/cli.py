@@ -66,7 +66,9 @@ class Run:
 def run_scope(args, verb: str, args_doc: dict) -> Iterator[Run]:
     """Resolve the config, claim args.out, and write the config and argument
     snapshots. On any exception every registered output moves to failed/;
-    on success the run_complete marker is written.
+    on success the run_complete marker is written: the verb, then the
+    registered names, one per line. With --force, the names that a
+    completed run's marker lists are deleted first, and nothing else.
     """
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     # only the verbs whose runs use them take --seed and --strategy
@@ -80,7 +82,11 @@ def run_scope(args, verb: str, args_doc: dict) -> Iterator[Run]:
             f"{out} already holds a completed run; pass --force to overwrite",
         )
     out.mkdir(parents=True, exist_ok=True)
-    marker.unlink(missing_ok=True)
+    if marker.exists():
+        for name in marker.read_text().splitlines()[1:]:
+            if name not in ("", ".", "..") and Path(name).name == name:
+                _remove(out / name)
+        marker.unlink()
     run = Run(out, cfg)
     try:
         save_config(cfg, run.path("resolved_config.json"))
@@ -91,14 +97,18 @@ def run_scope(args, verb: str, args_doc: dict) -> Iterator[Run]:
         failed.mkdir(exist_ok=True)
         for p in run.created:
             if p.exists():
-                target = failed / p.name
-                if target.is_dir():
-                    shutil.rmtree(target)
-                elif target.exists():
-                    target.unlink()
-                shutil.move(str(p), str(target))
+                _remove(failed / p.name)
+                shutil.move(str(p), str(failed / p.name))
         raise
-    marker.write_text(verb + "\n")
+    names = dict.fromkeys(p.name for p in run.created)
+    marker.write_text("".join(f"{line}\n" for line in (verb, *names)))
+
+
+def _remove(path: Path) -> None:
+    if path.is_dir():
+        shutil.rmtree(path)
+    elif path.exists():
+        path.unlink()
 
 
 def _round_rows(state: RoundState) -> Iterator[list]:
@@ -275,11 +285,9 @@ def write_ablation_tables(results: dict, out: Path, seeds: list[int]) -> None:
 def _parse_seeds(text: str) -> list[int]:
     """The comma-separated seed list of --seeds: non-negative integers, each once."""
     try:
-        seeds = [int(s) for s in text.split(",") if s.strip()]
+        seeds = [int(s) for s in text.split(",")]
     except ValueError:
         raise CliError("E_CONFIG", f"--seeds {text!r}: every entry must be an integer") from None
-    if not seeds:
-        raise CliError("E_CONFIG", f"--seeds {text!r}: no seeds")
     if min(seeds) < 0:
         raise CliError("E_CONFIG", f"--seeds {text!r}: seed {min(seeds)} is negative")
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})

@@ -1,26 +1,27 @@
 """Synthetic cross-domain gait benchmark: generation, loading, batch sampling.
 
-Each identity is a latent body shape; each frame renders a parametric
-walker (torso ellipse plus two swinging leg segments) at a gait phase,
-projected for the camera view, with per-domain style transforms (scale,
-shear, dilation or erosion, speckle noise) applied afterwards; dilation
-and erosion are shifted ORs or ANDs of each frame padded with off pixels,
-in NumPy alone. Each walk
-draws its body wobble, start phase and speckle from its own random stream,
-in manifest order. The geometry then runs on chunks of consecutive walks,
-one (n, K, H, W) array per chunk of at most CHUNK_FRAMES frames (or one
-longer walk); every pixel is computed from its own walk's draws alone, so
-a walk renders the same bytes in any chunk. Each split of a domain is
-stored as one binary P5 PGM file, root/<split>.pgm, holding the split's
-sequences in manifest order with every frame of H x W stacked top to
-bottom. A JSON manifest at the root (format_version 3) lists every
+Each identity's body is one array of shape parameters; each frame renders
+a parametric walker (torso ellipse plus two swinging leg segments) at a
+gait phase, projected for the camera view, with per-domain style
+transforms (scale, shear, dilation or erosion, speckle noise) applied
+afterwards; dilation and erosion are shifted ORs or ANDs of each frame
+padded with off pixels, in NumPy alone. Each walk draws its body wobble,
+start phase and speckle from its own random stream, in manifest order.
+The geometry then runs on chunks of consecutive walks, one (n, K, H, W)
+array per chunk whose float64 frames take at most numerics.WORK_BYTES (or
+one longer walk); every pixel is computed from its own walk's draws
+alone, so a walk renders the same bytes in any chunk. Each split of a
+domain is stored as one binary P5 PGM file, root/<split>.pgm, holding the
+split's sequences in manifest order with every frame of H x W stacked top
+to bottom. A JSON manifest at the root (format_version 3) lists every
 sequence with its split and frame count; a sequence's frames start at the
 sum of the frame counts of the records before it in its split. A split is
 written in one stream and read in one: its header, size and shape are
 checked first, and its pixels then pass through one buffer of at most
 numerics.WORK_BYTES, each chunk checked and packed as it comes. Once
 loaded, a split is held one bit per pixel: its frames are packed along the
-width in one buffer, and each sequence is a view of it.
+width in one buffer, and each sequence is a SilhouetteSequence over a
+view of it.
 """
 
 from __future__ import annotations
@@ -111,6 +112,8 @@ class DomainSpec:
         if not 0.0 <= lo <= hi < math.inf:
             raise ValueError(
                 f"body_jitter must be finite bounds with 0 <= lo <= hi, got {self.body_jitter!r}")
+        if not isinstance(self.walks, dict):
+            raise ValueError(f"walks must map conditions to counts, got {self.walks!r}")
         for c, n in self.walks.items():
             if c not in CONDITIONS:
                 raise ValueError(f"unknown condition {c!r}, expected one of {CONDITIONS}")
@@ -159,19 +162,8 @@ class Dataset:
 # ---------------------------------------------------------------------------
 # rendering
 
-@dataclass(frozen=True)
-class _BodyLatent:
-    torso_rx: float
-    torso_ry: float
-    torso_cy: float
-    hip_y: float
-    leg_len: float
-    leg_thick: float
-    swing_amp: float
-    stance: float
-
-
-# draw ranges double as the scale of per-walk wobble
+# An identity's body is one array of these fields, in this order, each drawn
+# uniformly from its range; the ranges double as the scale of per-walk wobble
 _LATENT_RANGES = {
     "torso_rx": (0.06, 0.14),
     "torso_ry": (0.16, 0.26),
@@ -184,42 +176,27 @@ _LATENT_RANGES = {
 }
 
 
-def _draw_latent(rng: np.random.Generator) -> _BodyLatent:
-    return _BodyLatent(**{
-        name: rng.uniform(lo, hi) for name, (lo, hi) in _LATENT_RANGES.items()
-    })
-
-
-def _perturb_latent(base: _BodyLatent, sigma: float, rng: np.random.Generator) -> _BodyLatent:
-    """One walk's body state: base plus wobble scaled to each field's range."""
-    fields = {}
-    for name, (lo, hi) in _LATENT_RANGES.items():
-        value = getattr(base, name) + sigma * (hi - lo) * rng.standard_normal()
-        fields[name] = min(max(value, lo), hi)
-    return _BodyLatent(**fields)
-
-
 @dataclass(frozen=True)
 class _Walk:
     """Everything besides the DomainSpec that sets one walk's pixels."""
 
-    latent: _BodyLatent
+    body: np.ndarray          # one value per _LATENT_RANGES field, in order
     condition: str
     sv: float                 # lateral visibility of the swing, from the view
     phase0: float             # gait phase of the first frame, in cycles
     noise: np.ndarray | None  # (K, H, W) speckle, when the domain has noise
 
 
-def _draw_walk(base: _BodyLatent, jitter: float, condition: str, sv: float,
-               spec: DomainSpec, rng: np.random.Generator) -> _Walk:
-    """The walk's draws from its own stream: wobble, start phase, then speckle."""
-    latent = _perturb_latent(base, jitter, rng)
+def _draw_walk(body: np.ndarray, condition: str, sv: float, spec: DomainSpec,
+               rng: np.random.Generator) -> _Walk:
+    """The rest of the walk's draws from its own stream, which its body
+    wobble began: start phase, then speckle."""
     phase0 = rng.uniform(0.0, max(spec.phase_jitter, 1e-9))
     noise = None
     if spec.noise > 0.0:
         # one draw consumes the stream exactly as K per-frame (H, W) draws
         noise = rng.random((spec.frames, spec.height, spec.width)) < spec.noise
-    return _Walk(latent, condition, sv, phase0, noise)
+    return _Walk(body, condition, sv, phase0, noise)
 
 
 def _segment_mask(xs, ys, x0, y0, x1, y1, thick):
@@ -256,12 +233,6 @@ def _cross_step(mask: np.ndarray, combine) -> None:
         combine(mask, shifted, out=mask)
 
 
-# Frames per rendering chunk: a chunk's float temporaries hold about
-# CHUNK_FRAMES x H x W values (300 KB each at 24 x 24), so short walks
-# share the per-call cost without split-sized arrays.
-CHUNK_FRAMES = 64
-
-
 def _render_chunk(spec: DomainSpec, walks: list[_Walk]) -> np.ndarray:
     """(n, K, H, W) binary silhouettes of n walks, one gait phase per frame.
 
@@ -281,8 +252,8 @@ def _render_chunk(spec: DomainSpec, walks: list[_Walk]) -> np.ndarray:
     def per_walk(values):  # shaped to broadcast over (n, K, H, W)
         return np.array(values)[:, None, None, None]
 
-    lat = {name: per_walk([getattr(wk.latent, name) for wk in walks])
-           for name in _LATENT_RANGES}
+    bodies = np.array([wk.body for wk in walks]).T  # one row per body field
+    lat = {name: per_walk(row) for name, row in zip(_LATENT_RANGES, bodies)}
     sv = per_walk([wk.sv for wk in walks])
     coat = per_walk([wk.condition == "CL" for wk in walks])
     bag = per_walk([wk.condition == "BG" for wk in walks])
@@ -374,18 +345,19 @@ def read_pgm(path: str | Path) -> np.ndarray:
 
 def _render_walks(spec: DomainSpec, seed: int, split: str, gids: range
                   ) -> Iterator[tuple[list[SequenceRecord], np.ndarray]]:
-    """The walks of the given identities in manifest order, in chunks of at
-    most CHUNK_FRAMES frames (one walk at least): each chunk's records and
-    its (n, K, H, W) frames."""
-    per_chunk = max(1, CHUNK_FRAMES // spec.frames)
+    """The walks of the given identities in manifest order, in chunks whose
+    float64 frames take at most WORK_BYTES (one walk at least): each chunk's
+    records and its (n, K, H, W) frames."""
+    per_chunk = max(1, WORK_BYTES // (8 * spec.frames * spec.height * spec.width))
+    lo, hi = np.array(list(_LATENT_RANGES.values())).T
     visibility = {view: abs(np.sin(np.deg2rad(float(view)))) for view in spec.views}
     records: list[SequenceRecord] = []
     walks: list[_Walk] = []
     for gid in gids:
         identity = f"{spec.id_prefix}{gid + 1:03d}"
         latent_rng = seed_stream(seed, _ROLE_LATENT, gid)
-        latent = _draw_latent(latent_rng)
-        jitter = latent_rng.uniform(*spec.body_jitter)
+        base = latent_rng.uniform(lo, hi)
+        wobble = latent_rng.uniform(*spec.body_jitter) * (hi - lo)
         seq_counter = 0
         for condition in CONDITIONS:
             for run in range(1, spec.walks.get(condition, 0) + 1):
@@ -393,8 +365,8 @@ def _render_walks(spec: DomainSpec, seed: int, split: str, gids: range
                 for view in spec.views:
                     rng = seed_stream(seed, _ROLE_SEQUENCE, gid, seq_counter)
                     seq_counter += 1
-                    walks.append(_draw_walk(latent, jitter, condition, visibility[view],
-                                            spec, rng))
+                    body = np.clip(base + wobble * rng.standard_normal(len(base)), lo, hi)
+                    walks.append(_draw_walk(body, condition, visibility[view], spec, rng))
                     records.append(SequenceRecord(
                         sample_id=f"{identity}-{walk}-{view}",
                         identity=identity,
@@ -464,6 +436,10 @@ def load_manifest(root: str | Path) -> DatasetManifest:
         manifest = DatasetManifest(root, doc["domain"], doc["height"], doc["width"], records)
     except (KeyError, TypeError) as e:
         raise DatasetError(f"{path}: malformed manifest ({type(e).__name__}: {e})") from e
+    for name in ("height", "width"):
+        value = getattr(manifest, name)
+        if type(value) is not int or value < 1:
+            raise DatasetError(f"{path}: {name} must be a positive integer, got {value!r}")
     ids = [r.sample_id for r in records]
     if len(set(ids)) != len(ids):
         raise DatasetError("duplicate sample ids in manifest")
@@ -520,14 +496,8 @@ def _read_split(manifest: DatasetManifest, split: str) -> list[SilhouetteSequenc
             np.subtract(1, chunk, out=chunk)  # 0/1
             packed[lo:lo + len(chunk)] = pack_frames(chunk)
     return [
-        SilhouetteSequence.from_packed(
-            packed[end - rec.frame_count:end], w,
-            sample_id=rec.sample_id,
-            identity=rec.identity,
-            condition=rec.condition,
-            view=rec.view,
-            domain=manifest.domain,
-        )
+        SilhouetteSequence(packed[end - rec.frame_count:end], w, rec.sample_id,
+                           rec.identity, rec.condition, rec.view)
         for rec, end in zip(records, ends)
     ]
 

@@ -9,10 +9,12 @@ one stacked strip.weight (n_strips, strip_dim, channels) and strip.bias
 (n_strips, strip_dim); checkpoints carry format_version 2, and version 1
 (one tensor per strip) is refused.
 
-A SilhouetteSequence holds its frames one bit per pixel, packed along the
-width. One batched forward pass (encode_batch) unpacks a batch in one call
-and serves training, bank building and evaluation; it returns a trace that
-the hand-written reverse-mode pass (encode_backward) reuses. Max pooling
+A SilhouetteSequence is its frames' packed bits, one bit per pixel along
+the width, plus its tags; from_frames checks and packs unpacked frames,
+and a loaded split's sequences view its packed buffer. One batched
+forward pass (encode_batch) unpacks a batch in one call and serves
+training, bank building and evaluation; it returns a trace that the
+hand-written reverse-mode pass (encode_backward) reuses. Max pooling
 sends each pooled cell's gradient to one frame, so the backward pass runs
 its layer products over the (frame, band) rows that carry a nonzero
 gradient only. Gradients are validated against central finite differences
@@ -22,7 +24,7 @@ in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, asdict, dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -98,60 +100,49 @@ def unpack_frames(packed: np.ndarray, width: int) -> np.ndarray:
 class SilhouetteSequence:
     """One walk: K binary H x W frames plus its identity/condition/view tags.
 
-    The frames are stored by pack_frames, one bit per pixel; `frames` reads
-    them back as a (K, H, W) uint8 0/1 array.
+    packed holds the frames as pack_frames stores them, one bit per pixel,
+    and is kept as given (a view of a loaded split, say): it must be
+    pack_frames of binary (K>=1, H>=1, width) frames. from_frames is the
+    checked path from unpacked frames.
     """
 
-    frames: InitVar[np.ndarray]
+    packed: np.ndarray = field(repr=False)
+    width: int
     sample_id: str
     identity: str | None = None
     condition: str = "NM"
     view: str = "000"
-    domain: str = ""
-    packed: np.ndarray = field(init=False, repr=False)
-    height: int = field(init=False)
-    width: int = field(init=False)
 
-    def __post_init__(self, frames):
+    @classmethod
+    def from_frames(cls, frames: np.ndarray, sample_id: str, **tags) -> "SilhouetteSequence":
+        """The sequence of (K>=1, H>=1, W>=1) binary frames of any dtype."""
         f = np.asarray(frames)
         if f.ndim != 3 or f.shape[0] < 1:
             raise ValueError(
-                f"sample {self.sample_id}: frames must be (K>=1, H, W), got shape {f.shape}")
+                f"sample {sample_id}: frames must be (K>=1, H, W), got shape {f.shape}")
         if f.shape[1] < 1 or f.shape[2] < 1:
             raise ValueError(
-                f"sample {self.sample_id}: frames must be at least 1x1, got shape {f.shape}")
+                f"sample {sample_id}: frames must be at least 1x1, got shape {f.shape}")
         if f.dtype == np.uint8:  # never negative: one pass
             binary = f.max() <= 1
         else:
             binary = ((f == 0) | (f == 1)).all()
         if not binary:
-            raise ValueError(f"sample {self.sample_id}: frames must be binary 0/1")
-        self.packed = pack_frames(f.astype(np.uint8, copy=False))
-        self.height, self.width = f.shape[1:]
+            raise ValueError(f"sample {sample_id}: frames must be binary 0/1")
+        return cls(pack_frames(f.astype(np.uint8, copy=False)), f.shape[2], sample_id, **tags)
 
-    @classmethod
-    def from_packed(cls, packed: np.ndarray, width: int, sample_id: str,
-                    identity: str | None = None, condition: str = "NM",
-                    view: str = "000", domain: str = "") -> "SilhouetteSequence":
-        """A sequence over bits that are already packed and checked, kept as
-        given (a view of a loaded split, say): packed must be pack_frames of
-        binary (K>=1, H>=1, width) frames."""
-        seq = cls.__new__(cls)
-        seq.sample_id, seq.identity = sample_id, identity
-        seq.condition, seq.view, seq.domain = condition, view, domain
-        seq.packed, seq.height, seq.width = packed, packed.shape[1], width
-        return seq
+    @property
+    def height(self) -> int:
+        return self.packed.shape[1]
 
     @property
     def length(self) -> int:
         return self.packed.shape[0]
 
-
-# Read-only, and set after the class body: there it would be taken for the
-# default value of the init-only `frames` argument.
-SilhouetteSequence.frames = property(
-    lambda seq: unpack_frames(seq.packed, seq.width),
-    doc="(K, H, W) uint8 0/1 frames, unpacked afresh from the stored bits.")
+    @property
+    def frames(self) -> np.ndarray:
+        """(K, H, W) uint8 0/1 frames, unpacked afresh from the stored bits."""
+        return unpack_frames(self.packed, self.width)
 
 
 def _param_layout(shape: EncoderShape) -> list[tuple[str, tuple[int, ...]]]:

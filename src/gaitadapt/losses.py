@@ -122,41 +122,33 @@ def row_entropies(scores: np.ndarray, overwrite: bool = False) -> np.ndarray:
 
 def neighborhood_loss(
     log_probs: np.ndarray,
-    anchor_indices: Sequence[int] | np.ndarray,
-    members: np.ndarray,
+    anchors: Sequence[int] | np.ndarray,
+    neighbors: np.ndarray,
     bank: "MemoryBank",
-    tau: float | np.ndarray,
+    tau: float,
 ) -> tuple[float, np.ndarray]:
     """Sum over anchors of -log(probability mass on the anchor's neighborhood).
 
-    log_probs[b] is anchor b's row from log_softmax_rows and members[b] the
-    bank indices of its neighborhood, which must include anchor_indices[b];
-    a repeated member counts once. The mass is a logsumexp over the
-    members, so it stays finite when every member probability underflows.
-    Gradients are with respect to each anchor's fresh embedding (one
-    (B, N) @ (N, d) product); bank entries are treated as constants. tau
-    is a scalar or one temperature per anchor, shape (B, 1).
+    log_probs[b] is anchor b's row from log_softmax_rows, anchors[b] its
+    bank index and neighbors[b] its k neighbors as scan_bank finds them:
+    distinct bank indices, the anchor's own excluded. The neighborhood is
+    the anchor's own entry and those k. The mass is a logsumexp over them,
+    so it stays finite when every member probability underflows. Gradients
+    are with respect to each anchor's fresh embedding (one (B, N) @ (N, d)
+    product); bank entries are treated as constants.
     """
-    idx = np.asarray(anchor_indices, dtype=np.intp)
+    idx = np.asarray(anchors, dtype=np.intp)
     if len(idx) == 0:
         raise ValueError("anchor set is empty")
-    members = np.sort(np.asarray(members, dtype=np.intp), axis=1)
-    missing = ~(members == idx[:, None]).any(axis=1)
-    if missing.any():
-        raise ValueError(
-            f"neighborhood of bank index {idx[missing][0]} must include itself")
-    member_lp = np.take_along_axis(log_probs, members, axis=1)
-    # canonical index order keeps the mass sum deterministic for set inputs
-    once = member_lp.copy()
-    once[:, 1:][members[:, 1:] == members[:, :-1]] = -np.inf
-    top = once.max(axis=1, keepdims=True)
+    hood = np.column_stack([idx, neighbors])
+    hood_lp = np.take_along_axis(log_probs, hood, axis=1)
+    top = hood_lp.max(axis=1, keepdims=True)
     if not np.all(np.isfinite(top)):
         raise ValueError("a neighborhood has no probability mass")
-    log_mass = top + np.log(np.exp(once - top).sum(axis=1, keepdims=True))
+    log_mass = top + np.log(np.exp(hood_lp - top).sum(axis=1, keepdims=True))
     # d(-log mass)/d(sims) = (p - p * indicator / mass) / tau
     coeff = np.exp(log_probs)
-    rows = np.arange(len(idx))[:, None]
-    coeff[rows, members] -= np.exp(member_lp - log_mass)
+    coeff[np.arange(len(idx))[:, None], hood] -= np.exp(hood_lp - log_mass)
     coeff /= tau
     return float(-log_mass.sum()), coeff @ bank.entries
 
@@ -213,20 +205,20 @@ def anchor_neighborhood_loss(
 ) -> tuple[float, np.ndarray]:
     """Sum over anchors of -log(probability mass on the anchor's neighborhood).
 
-    The rows and neighborhoods are stacked into one neighborhood_loss call;
-    gradients are with respect to each anchor's fresh embedding. Every
-    neighborhood must contain the anchor's own bank index.
+    Every neighborhood must contain the anchor's own bank index, and a
+    repeated member counts once. Each anchor is one neighborhood_loss call
+    at its row's tau; gradients are with respect to each anchor's fresh
+    embedding.
     """
     if len(anchors) == 0:
         raise ValueError("anchor set is empty")
-    idx = [i for i, _ in anchors]
-    hoods = [np.unique(np.fromiter(neighborhoods[i], dtype=np.intp)) for i in idx]
-    for i, hood in zip(idx, hoods):
+    loss, grads = 0.0, []
+    for i, row in anchors:
+        hood = np.unique(np.fromiter(neighborhoods[i], dtype=np.intp))
         if i not in hood:
             raise ValueError(f"neighborhood of bank index {i} must include itself")
-    # pad by repeating a member: repeats count once
-    width = max(len(h) for h in hoods)
-    members = np.stack([np.pad(h, (0, width - len(h)), mode="edge") for h in hoods])
-    log_probs = np.stack([row.log_probs for _, row in anchors])
-    tau = np.array([[row.tau] for _, row in anchors])
-    return neighborhood_loss(log_probs, idx, members, bank, tau)
+        term, grad = neighborhood_loss(row.log_probs[None], [i], hood[hood != i][None],
+                                       bank, row.tau)
+        loss += term
+        grads.append(grad[0])
+    return loss, np.stack(grads)

@@ -217,8 +217,6 @@ def adapt_target(
         ranking = curriculum_order(h, bank.id_rank, cfg.strategy,
                                    seed_stream(cfg.seed, _ROLE_ADAPT, r, 0))
         selected = ranking[:n_sel]
-        # members[i]: bank indices of sample i's neighborhood, itself first
-        members = np.concatenate([np.arange(n)[:, None], neighbors], axis=1)
 
         for e in range(1, cfg.epochs_per_round + 1):
             epoch_global += 1
@@ -232,7 +230,7 @@ def adapt_target(
                 trace = encode_batch(batch_seqs, params)
                 fresh = trace.embeddings
                 log_probs = log_softmax_rows(fresh, bank, cfg.tau)
-                loss, demb = neighborhood_loss(log_probs, idx, members[idx], bank, cfg.tau)
+                loss, demb = neighborhood_loss(log_probs, idx, neighbors[idx], bank, cfg.tau)
                 grads = encode_backward(batch_seqs, params, demb, trace=trace)
                 _sgd_step(params, grads, lr)
                 update_bank(bank, idx, fresh)

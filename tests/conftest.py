@@ -47,7 +47,7 @@ def random_sequences(rng, n_ids, per_id, shape=SMALL_SHAPE, frames=3, prefix="id
         ident = f"{prefix}{i:03d}"
         for j in range(per_id):
             mats = (rng.random((frames, shape.height, shape.width)) < 0.45).astype(np.uint8)
-            seqs.append(SilhouetteSequence(
+            seqs.append(SilhouetteSequence.from_frames(
                 frames=mats,
                 sample_id=f"{ident}-nm-{j + 1:02d}-090",
                 identity=ident,

@@ -251,6 +251,8 @@ class TestGenData:
         ("views", ["inf"], "views must be finite angles in degrees, got 'inf'"),
         ("views", ["abc"], "views must be finite angles in degrees, got 'abc'"),
         ("body_jitter", [0.0, math.inf], "body_jitter must be finite bounds"),  # Infinity
+        ("walks", ["NM"], "walks must map conditions to counts, got ['NM']"),
+        ("walks", None, "walks must map conditions to counts, got None"),
     ])
     def test_domain_no_verb_could_load_is_refused_before_out_is_claimed(
             self, tmp_path, capsys, field, value, message):
@@ -375,6 +377,23 @@ class TestAdapt:
         assert capsys.readouterr().err.startswith("ERROR E_IO:")
         assert not (out / "discovery_round1.csv").exists()
         assert (out / "failed" / "discovery_round1.csv").is_file()
+
+    def test_force_deletes_the_old_runs_outputs_and_only_those(self, data_dir, pretrain_dir,
+                                                                tmp_path):
+        out = tmp_path / "ad"
+
+        def adapt(rounds, *force):
+            save_config(_tiny_config(rounds=rounds), tmp_path / "cfg.json")
+            return main(["adapt", "--config", str(tmp_path / "cfg.json"), "--out", str(out),
+                         "--data", str(data_dir / "target"),
+                         "--checkpoint", str(pretrain_dir / "checkpoint.json"), *force])
+        assert adapt(4) == 0
+        (out / "notes.txt").write_text("kept")
+        assert adapt(2, "--force") == 0
+        assert {p.name for p in out.iterdir()} == RUN_FILES | ADAPT_FILES | {"notes.txt"}
+        assert (out / "run_complete").read_text().splitlines() == [
+            "adapt", "resolved_config.json", "run_args.json", "checkpoint.json", "runlog.csv",
+            "timing.txt", "discovery_round1.csv", "discovery_round2.csv"]
 
     def test_zero_epochs_returns_the_input_checkpoint(self, data_dir, pretrain_dir,
                                                       tmp_path):
@@ -591,7 +610,7 @@ class TestAblate:
         assert rc == 1
         assert capsys.readouterr().err.startswith("ERROR E_CONFIG:")
 
-    @pytest.mark.parametrize("seeds", ["1,1", "1,x", "2, 1 ,2", "1.5", "2,-1"])
+    @pytest.mark.parametrize("seeds", ["1,1", "1,x", "2, 1 ,2", "1.5", "2,-1", "1,,2", "1,"])
     def test_bad_seed_list_rejected_before_out_is_claimed(self, cfg_file, tmp_path, capsys,
                                                           seeds):
         rc = main(["ablate", "--config", str(cfg_file), "--out",
@@ -616,12 +635,16 @@ def _add_record_key(text):
     return json.dumps(doc)
 
 
-def _set_version(version):
+def _set_key(key, value):
     def mutate(text):
         doc = json.loads(text)
-        doc["format_version"] = version
+        doc[key] = value
         return json.dumps(doc)
     return mutate
+
+
+def _set_version(version):
+    return _set_key("format_version", version)
 
 
 def _add_section(text):
@@ -655,6 +678,7 @@ MALFORMED = {
     "manifest-list": ("manifest", _as_list, "E_DATA"),
     "manifest-version-1": ("manifest", _set_version(1), "E_DATA"),
     "manifest-version-2": ("manifest", _set_version(2), "E_DATA"),
+    "manifest-float-height": ("manifest", _set_key("height", 8.0), "E_DATA"),
     "checkpoint-without-shape": ("checkpoint", _drop("shape"), "E_INVALID"),
     "checkpoint-without-params": ("checkpoint", _drop("params"), "E_INVALID"),
     "checkpoint-nan-value": ("checkpoint", _nan_parameter_value, "E_INVALID"),
@@ -669,6 +693,8 @@ MALFORMED = {
                                         "E_CONFIG"),
     "config-float-height": ("config", _set_config_field("encoder", "height", float),
                             "E_CONFIG"),
+    "config-walks-list": ("config", _set_config_field("source", "walks", ["NM"]), "E_CONFIG"),
+    "config-walks-null": ("config", _set_config_field("target", "walks", None), "E_CONFIG"),
     "config-fractional-epochs": ("config", _set_config_field("train", "pretrain_epochs", 1.5),
                                  "E_CONFIG"),
     "config-nan-learning-rate": ("config",

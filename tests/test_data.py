@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -145,8 +146,10 @@ class TestGeneration:
                                 walks={"NM": 2, "BG": 1, "CL": 1}, dilate=dilate,
                                 noise=0.05)
         many = dataclasses.replace(spec, identities=6)
-        assert data.CHUNK_FRAMES % spec.frames
-        assert many.identities * many.sequences_per_identity * many.frames > 2 * data.CHUNK_FRAMES
+        chunk_frames = 64
+        monkeypatch.setattr(data, "WORK_BYTES", chunk_frames * 8 * spec.height * spec.width)
+        assert chunk_frames % spec.frames
+        assert many.identities * many.sequences_per_identity * many.frames > 2 * chunk_frames
         generate_domain(spec, tmp_path / "one", domain="t", seed=3)
         generate_domain(many, tmp_path / "many", domain="t", seed=3)
         alone = load_dataset(tmp_path / "one").sequences
@@ -156,7 +159,7 @@ class TestGeneration:
         for a, b in zip(alone, shared):
             assert a.frames.tobytes() == b.frames.tobytes(), a.sample_id
         # and every walk renders as it does in a chunk of its own
-        monkeypatch.setattr(data, "CHUNK_FRAMES", 1)
+        monkeypatch.setattr(data, "WORK_BYTES", 1)
         generate_domain(many, tmp_path / "single", domain="t", seed=3)
         assert ((tmp_path / "single" / "train.pgm").read_bytes()
                 == (tmp_path / "many" / "train.pgm").read_bytes())
@@ -204,7 +207,6 @@ class TestGeneration:
         ds = load_dataset(tiny_source_dir)
         assert len(ds.sequences) == 30
         for s in ds.sequences:
-            assert s.domain == "source"
             vals = np.unique(s.frames)
             assert np.all(np.isin(vals, (0, 1)))
             assert s.frames.sum() > 0
@@ -247,7 +249,8 @@ class TestGeneration:
         spec = tiny_domain_spec("W", width=13)
         generate_domain(spec, tmp_path, domain="t", seed=5)
         loaded = load_dataset(tmp_path).sequences
-        built = [SilhouetteSequence(s.frames, s.sample_id, s.identity) for s in loaded]
+        built = [SilhouetteSequence.from_frames(s.frames, s.sample_id, identity=s.identity)
+                 for s in loaded]
         assert all(a.packed.tobytes() == b.packed.tobytes() for a, b in zip(loaded, built))
         shape = EncoderShape(height=8, width=13, bands=2, channels=8, scales=2, embed_dim=12)
         params = init_params(shape, seed_stream(5, 0))
@@ -421,6 +424,17 @@ class TestLoadErrors:
         with pytest.raises(DatasetError, match="format_version 2, expected 3; regenerate"
                                                " the data with gen-data"):
             load_dataset(root)
+
+    @pytest.mark.parametrize("field, value", [("height", 8.0), ("height", True),
+                                              ("width", -8), ("width", 0), ("height", "8")])
+    def test_frame_size_must_be_a_positive_integer(self, tmp_path, field, value):
+        root = self._micro(tmp_path)
+        doc = json.loads((root / "manifest.json").read_text())
+        doc[field] = value
+        (root / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match=f"{field} must be a positive integer, got "
+                                               f"{re.escape(repr(value))}"):
+            load_manifest(root)
 
     @pytest.mark.parametrize("field, value", [("split", "valid"), ("frame_count", 0),
                                               ("frame_count", 1.0)])
@@ -622,7 +636,7 @@ class TestPkSampler:
         for i in range(n_ids):
             for j in range(per_id):
                 frames = (rng.random((2, 8, 8)) < 0.5).astype(np.uint8)
-                out.append(SilhouetteSequence(
+                out.append(SilhouetteSequence.from_frames(
                     frames=frames, sample_id=f"p{i}-nm-{j:02d}-090",
                     identity=f"p{i}"))
         return out
@@ -659,7 +673,7 @@ class TestPkSampler:
 
     def test_rejects_unlabeled_sequences(self):
         frames = np.ones((1, 4, 4), dtype=np.uint8)
-        seqs = [SilhouetteSequence(frames=frames, sample_id="u-nm-01-000")]
+        seqs = [SilhouetteSequence.from_frames(frames=frames, sample_id="u-nm-01-000")]
         with pytest.raises(ValueError, match="no identity"):
             sample_pk_batch(seqs, 1, 1, make_rng(0))
 

@@ -71,7 +71,7 @@ class TestBuildBank:
     def test_encoding_failure_names_the_sample(self, small_params):
         frames = np.zeros((1, 4, 4), dtype=np.uint8)
         frames[0, 0, 0] = 1
-        bad = SilhouetteSequence(frames=frames, sample_id="odd-nm-01-000")
+        bad = SilhouetteSequence.from_frames(frames=frames, sample_id="odd-nm-01-000")
         with pytest.raises(ValueError, match="sample odd-nm-01-000:"):
             build_bank([bad], small_params)
 

@@ -31,7 +31,7 @@ from conftest import SMALL_SHAPE, random_sequences, traced_peak
 
 def _seq(rng, shape=SMALL_SHAPE, frames=3, sid="s-nm-01-090"):
     mats = (rng.random((frames, shape.height, shape.width)) < 0.45).astype(np.uint8)
-    return SilhouetteSequence(frames=mats, sample_id=sid, identity="s")
+    return SilhouetteSequence.from_frames(frames=mats, sample_id=sid, identity="s")
 
 
 class TestShape:
@@ -117,7 +117,7 @@ class TestForward:
         for trial in range(25):
             seq = _seq(rng, frames=int(rng.integers(2, 9)))
             perm = rng.permutation(seq.length)
-            shuffled = SilhouetteSequence(
+            shuffled = SilhouetteSequence.from_frames(
                 frames=seq.frames[perm], sample_id=seq.sample_id, identity=seq.identity)
             assert np.array_equal(encode_sequence(seq, small_params),
                                   encode_sequence(shuffled, small_params))
@@ -158,14 +158,14 @@ class TestForward:
         # zero biases at init make the whole pipeline output exactly zero
         params = init_params(SMALL_SHAPE, make_rng(14))
         frames = np.zeros((2, SMALL_SHAPE.height, SMALL_SHAPE.width), dtype=np.uint8)
-        seq = SilhouetteSequence(frames=frames, sample_id="z-nm-01-000")
+        seq = SilhouetteSequence.from_frames(frames=frames, sample_id="z-nm-01-000")
         with pytest.raises(DegenerateInputError):
             encode_sequence(seq, params)
 
     def test_wrong_frame_shape_names_sample(self, small_params):
         frames = np.zeros((1, 4, 4), dtype=np.uint8)
         frames[0, 0, 0] = 1
-        seq = SilhouetteSequence(frames=frames, sample_id="bad-nm-01-000")
+        seq = SilhouetteSequence.from_frames(frames=frames, sample_id="bad-nm-01-000")
         with pytest.raises(ValueError, match="bad-nm-01-000"):
             encode_sequence(seq, small_params)
 
@@ -212,7 +212,7 @@ class TestForward:
     def test_degenerate_batch_member_names_sample(self):
         params = init_params(SMALL_SHAPE, make_rng(14))
         live = _seq(make_rng(16), sid="live-nm-01-000")
-        dead = SilhouetteSequence(
+        dead = SilhouetteSequence.from_frames(
             frames=np.zeros((2, SMALL_SHAPE.height, SMALL_SHAPE.width), dtype=np.uint8),
             sample_id="dead-nm-01-000")
         with pytest.raises(DegenerateInputError, match="dead-nm-01-000"):
@@ -221,7 +221,7 @@ class TestForward:
     def test_sequence_rejects_nonbinary_frames(self):
         frames = np.full((1, 8, 8), 3, dtype=np.uint8)
         with pytest.raises(ValueError, match="binary"):
-            SilhouetteSequence(frames=frames, sample_id="x-nm-01-000")
+            SilhouetteSequence.from_frames(frames=frames, sample_id="x-nm-01-000")
 
     @pytest.mark.parametrize("bad,dtype", [(2, np.uint8), (255, np.uint8), (-1, np.int64),
                                            (0.5, np.float64), (2, np.int8)])
@@ -229,24 +229,24 @@ class TestForward:
         frames = np.zeros((2, 4, 4), dtype=dtype)
         frames[1, 3, 2] = bad
         with pytest.raises(ValueError, match="sample x-nm-01-000: frames must be binary 0/1"):
-            SilhouetteSequence(frames=frames, sample_id="x-nm-01-000")
+            SilhouetteSequence.from_frames(frames=frames, sample_id="x-nm-01-000")
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64, bool])
     def test_binary_frames_of_any_dtype_become_uint8(self, dtype):
         frames = np.eye(4, dtype=dtype)[None].repeat(2, axis=0)
-        seq = SilhouetteSequence(frames=frames, sample_id="x-nm-01-000")
+        seq = SilhouetteSequence.from_frames(frames=frames, sample_id="x-nm-01-000")
         assert seq.frames.dtype == np.uint8
         assert np.array_equal(seq.frames, np.eye(4)[None].repeat(2, axis=0))
 
     @pytest.mark.parametrize("shape", [(1, 0, 3), (2, 4, 0), (1, 0, 0)])
     def test_empty_frames_are_refused_naming_the_sample(self, shape):
         with pytest.raises(ValueError, match="sample x-nm-01-000: frames must be at least 1x1"):
-            SilhouetteSequence(np.zeros(shape, np.uint8), "x-nm-01-000")
+            SilhouetteSequence.from_frames(np.zeros(shape, np.uint8), "x-nm-01-000")
 
     @pytest.mark.parametrize("shape", [(4, 4), (0, 4, 4), (1, 2, 4, 4)])
     def test_wrong_rank_or_no_frames_names_the_sample(self, shape):
         with pytest.raises(ValueError, match="sample x-nm-01-000: frames must be"):
-            SilhouetteSequence(np.zeros(shape, np.uint8), "x-nm-01-000")
+            SilhouetteSequence.from_frames(np.zeros(shape, np.uint8), "x-nm-01-000")
 
 
 class TestPackedFrames:
@@ -254,7 +254,7 @@ class TestPackedFrames:
     @pytest.mark.parametrize("dtype", [np.uint8, bool, np.int64, np.float64])
     def test_frames_read_back_the_exact_input(self, width, dtype):
         bits = make_rng(width).random((3, 5, width)) < 0.5
-        seq = SilhouetteSequence(bits.astype(dtype), "p-nm-01-000")
+        seq = SilhouetteSequence.from_frames(bits.astype(dtype), "p-nm-01-000")
         assert seq.frames.dtype == np.uint8
         assert seq.frames.tobytes() == bits.astype(np.uint8).tobytes()
         assert (seq.length, seq.height, seq.width) == (3, 5, width)
@@ -270,17 +270,16 @@ class TestPackedFrames:
     def test_replace_repacks_new_frames(self):
         import dataclasses
         seq = _seq(make_rng(31), frames=4)
-        flipped = dataclasses.replace(seq, frames=seq.frames[::-1])
+        flipped = dataclasses.replace(seq, packed=seq.packed[::-1])
         assert flipped.sample_id == seq.sample_id and flipped.identity == seq.identity
         assert np.array_equal(flipped.frames, seq.frames[::-1])
 
-    def test_from_packed_keeps_the_given_bits(self):
+    def test_constructor_keeps_the_given_bits(self):
         seq = _seq(make_rng(32), frames=2)
-        again = SilhouetteSequence.from_packed(seq.packed, seq.width, seq.sample_id,
-                                               identity=seq.identity)
+        again = SilhouetteSequence(seq.packed, seq.width, seq.sample_id, identity=seq.identity)
         assert again.packed is seq.packed
         assert np.array_equal(again.frames, seq.frames)
-        assert (again.condition, again.view, again.domain) == ("NM", "000", "")
+        assert (again.condition, again.view) == ("NM", "000")
 
 
 @pytest.fixture(scope="module")
@@ -404,7 +403,7 @@ class TestBackward:
         g = [make_rng(26).standard_normal(SMALL_SHAPE.embed_dim)]
 
         def pixel0_grad(frames):
-            seq = SilhouetteSequence(frames=np.stack(frames), sample_id="tie-nm-01-000")
+            seq = SilhouetteSequence.from_frames(np.stack(frames), "tie-nm-01-000")
             return encode_backward([seq], params, g)["frame.weight"][:, 0]
 
         assert np.array_equal(pixel0_grad([base, marked]), np.zeros(SMALL_SHAPE.channels))
@@ -426,7 +425,7 @@ class TestBackward:
             if k > 1:
                 mats[-1] = mats[0]
                 mats[k // 2, 0, :3] ^= 1
-            seqs.append(SilhouetteSequence(mats, f"m{i}-nm-01-000"))
+            seqs.append(SilhouetteSequence.from_frames(mats, f"m{i}-nm-01-000"))
         gs = rng.standard_normal((len(seqs), SMALL_SHAPE.embed_dim))
         want = _reduceat_backward(seqs, params, gs)
         got = encode_backward(seqs, params, gs)

@@ -9,7 +9,7 @@ _ONES = np.ones((1, 2, 2), dtype=np.uint8)
 
 
 def _seq(ident, cond, run, view):
-    return SilhouetteSequence(
+    return SilhouetteSequence.from_frames(
         frames=_ONES, sample_id=f"{ident}-{cond.lower()}-{run:02d}-{view}",
         identity=ident, condition=cond, view=view)
 
@@ -54,7 +54,7 @@ class TestMakeProtocol:
             make_protocol(_group("A", 5), "first-n-gallery", gallery_size=size)
 
     def test_unlabeled_sample_rejected(self):
-        bad = SilhouetteSequence(frames=_ONES, sample_id="x-nm-01-000")
+        bad = SilhouetteSequence.from_frames(frames=_ONES, sample_id="x-nm-01-000")
         with pytest.raises(ProtocolError, match="identity"):
             make_protocol([bad], "first-n-gallery")
 

@@ -346,21 +346,15 @@ class TestBatchedPath:
         bank, rng = self._bank()
         anchors = rng.standard_normal((3, 5))
         idx = np.array([2, 9, 5])
-        members = np.array([[2, 4, 4], [9, 0, 1], [5, 5, 5]])  # repeats count once
+        neighbors = np.array([[4, 7], [0, 1], [11, 3]])  # as scan_bank finds them
         log_probs = log_softmax_rows(anchors, bank, 0.2)
-        loss, grads = neighborhood_loss(log_probs, idx, members, bank, 0.2)
+        loss, grads = neighborhood_loss(log_probs, idx, neighbors, bank, 0.2)
         rows = [(int(i), softmax_row(a, bank, 0.2, anchor_index=int(i)))
                 for a, i in zip(anchors, idx)]
-        hoods = {2: {2, 4}, 9: {9, 0, 1}, 5: {5}}
+        hoods = {2: {2, 4, 7}, 9: {9, 0, 1}, 5: {5, 11, 3}}
         want, gwant = anchor_neighborhood_loss(rows, hoods, bank)
         assert loss == pytest.approx(want, abs=1e-12)
         assert np.allclose(grads, gwant, rtol=0, atol=1e-12)
-
-    def test_members_must_include_the_anchor(self):
-        bank, rng = self._bank()
-        log_probs = log_softmax_rows(rng.standard_normal((2, 5)), bank, 0.2)
-        with pytest.raises(ValueError, match="bank index 6 must include itself"):
-            neighborhood_loss(log_probs, [1, 6], np.array([[1, 2], [5, 7]]), bank, 0.2)
 
     def test_neighborhood_without_mass_is_refused(self):
         # the anchor alone, its own entry at probability zero
