@@ -189,8 +189,8 @@ class _Walk:
 
 def _draw_walk(body: np.ndarray, condition: str, sv: float, spec: DomainSpec,
                rng: np.random.Generator) -> _Walk:
-    """The rest of the walk's draws from its own stream, which its body
-    wobble began: start phase, then speckle."""
+    """The walk's draws after its body wobble, from the same stream: start
+    phase, then speckle."""
     phase0 = rng.uniform(0.0, max(spec.phase_jitter, 1e-9))
     noise = None
     if spec.noise > 0.0:
