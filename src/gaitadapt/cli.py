@@ -32,7 +32,9 @@ from .config import (
 from .data import DatasetError, generate_domain, load_dataset
 from .discovery import STRATEGIES
 from .encoder import EncoderParams, encode_sequences, load_checkpoint, save_checkpoint
-from .evaluation import ProtocolError, Rank1Result, check_protocol, make_protocol, rank1
+from .evaluation import (
+    CONVENTIONS, ProtocolError, Rank1Result, check_protocol, make_protocol, rank1,
+)
 from .files import replacing, write_csv, write_json
 from .pipeline import RoundState, RunLog, adapt_target, pretrain_source
 
@@ -66,9 +68,10 @@ class Run:
 def run_scope(args, verb: str, args_doc: dict) -> Iterator[Run]:
     """Resolve the config, claim args.out, and write the config and argument
     snapshots. On any exception every registered output moves to failed/;
-    on success the run_complete marker is written: the verb, then the
-    registered names, one per line. With --force, the names that a
-    completed run's marker lists are deleted first, and nothing else.
+    on success the failed/ of an earlier attempt is removed and the
+    run_complete marker is written: the verb, then the registered names,
+    one per line. With --force, the names that a completed run's marker
+    lists are deleted first, and nothing else.
     """
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     # only the verbs whose runs use them take --seed and --strategy
@@ -101,6 +104,7 @@ def run_scope(args, verb: str, args_doc: dict) -> Iterator[Run]:
                 shutil.move(str(p), str(failed / p.name))
         raise
     names = dict.fromkeys(p.name for p in run.created)
+    _remove(out / "failed")
     marker.write_text("".join(f"{line}\n" for line in (verb, *names)))
 
 
@@ -170,6 +174,11 @@ def cmd_adapt(args) -> None:
     log.info("adaptation done: %s", args.out)
 
 
+def _per_condition(result: Rank1Result) -> dict:
+    return {c: {"correct": v[0], "evaluated": v[1], "rank1": v[2]}
+            for c, v in result.per_condition.items()}
+
+
 def _evaluate_checkpoint(checkpoint_path, data_root, convention="first-n-gallery",
                          gallery_size=4) -> dict:
     params = load_checkpoint(checkpoint_path)
@@ -177,17 +186,13 @@ def _evaluate_checkpoint(checkpoint_path, data_root, convention="first-n-gallery
     embeddings = dict(zip([s.sample_id for s in test], encode_sequences(test, params)))
     protocol = make_protocol(test, convention=convention, gallery_size=gallery_size)
     plain = rank1(embeddings, protocol.with_exclusion(False))
-    try:
-        excl = rank1(embeddings, protocol.with_exclusion(True))
-    except ProtocolError:  # no probe has a gallery entry from another view
-        excl = Rank1Result(accuracy=None, correct=0, evaluated=0, per_condition={},
-                           skipped_probes=tuple(sorted(protocol.probe_ids)))
+    excl = rank1(embeddings, protocol.with_exclusion(True))
     return {
         "rank1": plain.accuracy,
         "rank1_excluding_view": excl.accuracy,
         "evaluated": plain.evaluated,
-        "per_condition": plain.to_dict()["per_condition"],
-        "per_condition_excluding_view": excl.to_dict()["per_condition"],
+        "per_condition": _per_condition(plain),
+        "per_condition_excluding_view": _per_condition(excl),
         "skipped_probes": list(plain.skipped_probes),
         "skipped_probes_excluding_view": list(excl.skipped_probes),
         "skipped_identities": list(protocol.skipped_identities),
@@ -344,8 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_verb("eval", help="gallery/probe rank-1 evaluation of a checkpoint")
     common(p, data=True, checkpoint=True)
-    p.add_argument("--convention", default="first-n-gallery",
-                   choices=["first-n-gallery", "first-sequence-gallery"])
+    p.add_argument("--convention", default="first-n-gallery", choices=CONVENTIONS)
     p.add_argument("--gallery-size", type=int, default=4)
     p.set_defaults(func=cmd_eval)
 

@@ -176,29 +176,6 @@ _LATENT_RANGES = {
 }
 
 
-@dataclass(frozen=True)
-class _Walk:
-    """Everything besides the DomainSpec that sets one walk's pixels."""
-
-    body: np.ndarray          # one value per _LATENT_RANGES field, in order
-    condition: str
-    sv: float                 # lateral visibility of the swing, from the view
-    phase0: float             # gait phase of the first frame, in cycles
-    noise: np.ndarray | None  # (K, H, W) speckle, when the domain has noise
-
-
-def _draw_walk(body: np.ndarray, condition: str, sv: float, spec: DomainSpec,
-               rng: np.random.Generator) -> _Walk:
-    """The walk's draws after its body wobble, from the same stream: start
-    phase, then speckle."""
-    phase0 = rng.uniform(0.0, max(spec.phase_jitter, 1e-9))
-    noise = None
-    if spec.noise > 0.0:
-        # one draw consumes the stream exactly as K per-frame (H, W) draws
-        noise = rng.random((spec.frames, spec.height, spec.width)) < spec.noise
-    return _Walk(body, condition, sv, phase0, noise)
-
-
 def _segment_mask(xs, ys, x0, y0, x1, y1, thick):
     """Pixels within `thick` of the segment (x0,y0)-(x1,y1). The endpoints
     may be arrays that broadcast against xs and ys, one segment per frame."""
@@ -233,9 +210,12 @@ def _cross_step(mask: np.ndarray, combine) -> None:
         combine(mask, shifted, out=mask)
 
 
-def _render_chunk(spec: DomainSpec, walks: list[_Walk]) -> np.ndarray:
+def _render_chunk(spec: DomainSpec, walks: list[tuple]) -> np.ndarray:
     """(n, K, H, W) binary silhouettes of n walks, one gait phase per frame.
 
+    Each walk is its draws (body, condition, sv, phase0, noise): one value
+    per _LATENT_RANGES field, the swing's lateral visibility from the view,
+    the first frame's gait phase in cycles, and (K, H, W) speckle or None.
     Every value is computed elementwise from its own walk's draws, so a
     walk's frames do not depend on the walks that share its chunk.
     """
@@ -252,11 +232,11 @@ def _render_chunk(spec: DomainSpec, walks: list[_Walk]) -> np.ndarray:
     def per_walk(values):  # shaped to broadcast over (n, K, H, W)
         return np.array(values)[:, None, None, None]
 
-    bodies = np.array([wk.body for wk in walks]).T  # one row per body field
-    lat = {name: per_walk(row) for name, row in zip(_LATENT_RANGES, bodies)}
-    sv = per_walk([wk.sv for wk in walks])
-    coat = per_walk([wk.condition == "CL" for wk in walks])
-    bag = per_walk([wk.condition == "BG" for wk in walks])
+    bodies, conditions, svs, phase0s, noises = zip(*walks)
+    lat = {name: per_walk(row) for name, row in zip(_LATENT_RANGES, np.array(bodies).T)}
+    sv = per_walk(svs)
+    coat = per_walk([c == "CL" for c in conditions])
+    bag = per_walk([c == "BG" for c in conditions])
 
     rx = lat["torso_rx"] * (0.65 + 0.35 * sv)
     ry = lat["torso_ry"]
@@ -266,7 +246,7 @@ def _render_chunk(spec: DomainSpec, walks: list[_Walk]) -> np.ndarray:
     mask |= bag & (((u - 0.66) / 0.09) ** 2 + ((v - 0.47) / 0.075) ** 2 <= 1.0)
 
     steps = (np.arange(k) * spec.resample) / spec.period
-    phase = per_walk([wk.phase0 for wk in walks]) + steps[:, None, None]
+    phase = per_walk(phase0s) + steps[:, None, None]
     angle = lat["swing_amp"] * np.sin(2.0 * np.pi * phase)
     hip_y, leg_len = lat["hip_y"], lat["leg_len"]
     for side, theta in ((-1.0, angle), (1.0, -angle)):
@@ -280,7 +260,7 @@ def _render_chunk(spec: DomainSpec, walks: list[_Walk]) -> np.ndarray:
         _cross_step(mask, combine)
 
     if spec.noise > 0.0:
-        mask |= np.stack([wk.noise for wk in walks])
+        mask |= np.stack(noises)
 
     frames = mask.astype(np.uint8)
     # erosion can wipe tiny bodies; keep the invariant of >= 1 pixel per frame
@@ -352,7 +332,7 @@ def _render_walks(spec: DomainSpec, seed: int, split: str, gids: range
     lo, hi = np.array(list(_LATENT_RANGES.values())).T
     visibility = {view: abs(np.sin(np.deg2rad(float(view)))) for view in spec.views}
     records: list[SequenceRecord] = []
-    walks: list[_Walk] = []
+    walks: list[tuple] = []
     for gid in gids:
         identity = f"{spec.id_prefix}{gid + 1:03d}"
         latent_rng = seed_stream(seed, _ROLE_LATENT, gid)
@@ -365,8 +345,13 @@ def _render_walks(spec: DomainSpec, seed: int, split: str, gids: range
                 for view in spec.views:
                     rng = seed_stream(seed, _ROLE_SEQUENCE, gid, seq_counter)
                     seq_counter += 1
+                    # the walk's draws, in stream order: wobble, phase, speckle
                     body = np.clip(base + wobble * rng.standard_normal(len(base)), lo, hi)
-                    walks.append(_draw_walk(body, condition, visibility[view], spec, rng))
+                    phase0 = rng.uniform(0.0, max(spec.phase_jitter, 1e-9))
+                    noise = None
+                    if spec.noise > 0.0:  # as K per-frame (H, W) draws would consume it
+                        noise = rng.random((spec.frames, spec.height, spec.width)) < spec.noise
+                    walks.append((body, condition, visibility[view], phase0, noise))
                     records.append(SequenceRecord(
                         sample_id=f"{identity}-{walk}-{view}",
                         identity=identity,

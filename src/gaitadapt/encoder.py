@@ -123,11 +123,7 @@ class SilhouetteSequence:
         if f.shape[1] < 1 or f.shape[2] < 1:
             raise ValueError(
                 f"sample {sample_id}: frames must be at least 1x1, got shape {f.shape}")
-        if f.dtype == np.uint8:  # never negative: one pass
-            binary = f.max() <= 1
-        else:
-            binary = ((f == 0) | (f == 1)).all()
-        if not binary:
+        if not ((f == 0) | (f == 1)).all():
             raise ValueError(f"sample {sample_id}: frames must be binary 0/1")
         return cls(pack_frames(f.astype(np.uint8, copy=False)), f.shape[2], sample_id, **tags)
 

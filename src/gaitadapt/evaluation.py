@@ -100,23 +100,11 @@ def make_protocol(
 
 @dataclass
 class Rank1Result:
-    accuracy: float | None  # None only where eval found no probe to score
+    accuracy: float | None  # None when every probe was skipped
     correct: int
     evaluated: int
     skipped_probes: tuple[str, ...]
     per_condition: dict[str, tuple[int, int, float]]  # condition -> (correct, evaluated, acc)
-
-    def to_dict(self) -> dict:
-        return {
-            "rank1": self.accuracy,
-            "correct": self.correct,
-            "evaluated": self.evaluated,
-            "skipped_probes": list(self.skipped_probes),
-            "per_condition": {
-                c: {"correct": v[0], "evaluated": v[1], "rank1": v[2]}
-                for c, v in self.per_condition.items()
-            },
-        }
 
 
 def rank1(embeddings: Mapping[str, np.ndarray], protocol: EvalProtocol) -> Rank1Result:
@@ -124,7 +112,9 @@ def rank1(embeddings: Mapping[str, np.ndarray], protocol: EvalProtocol) -> Rank1
 
     Nearest-gallery ties break toward the lower gallery id. Probes whose
     effective gallery is empty (everything excluded by view) are skipped
-    and reported, not counted in the denominator.
+    and reported, not counted in the denominator; when every probe is
+    skipped, as with view exclusion on a one-view target, there is nothing
+    to score and the accuracy is None.
     """
     if len(protocol.gallery_ids) == 0:
         raise ProtocolError("empty gallery")
@@ -155,13 +145,11 @@ def rank1(embeddings: Mapping[str, np.ndarray], protocol: EvalProtocol) -> Rank1
         evaluated += 1
         cond_hits.setdefault(protocol.condition[pid], []).append(hit)
 
-    if evaluated == 0:
-        raise ProtocolError("every probe was skipped; nothing to evaluate")
     per_condition = {
         c: (sum(h), len(h), sum(h) / len(h)) for c, h in sorted(cond_hits.items())
     }
     return Rank1Result(
-        accuracy=correct / evaluated,
+        accuracy=correct / evaluated if evaluated else None,
         correct=correct,
         evaluated=evaluated,
         skipped_probes=tuple(skipped),

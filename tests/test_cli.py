@@ -349,6 +349,25 @@ class TestPretrain:
         assert not (out / "resolved_config.json").exists()
         assert (out / "failed" / "resolved_config.json").exists()
 
+    def test_success_clears_an_earlier_quarantine(self, cfg_file, data_dir, tmp_path,
+                                                  capsys):
+        broken = tmp_path / "src"
+        shutil.copytree(data_dir / "source", broken)
+        victim = broken / "train.pgm"
+        good = victim.read_bytes()
+        victim.write_bytes(good[:-1] + b"\x07")
+        out = tmp_path / "run"
+        argv = ["pretrain", "--config", str(cfg_file), "--out", str(out),
+                "--data", str(broken)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("ERROR E_DATA:")
+        assert (out / "failed").is_dir()
+        victim.write_bytes(good)
+        assert main(argv) == 0
+        assert not (out / "failed").exists()
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            RUN_FILES | {"checkpoint.json", "runlog.csv", "timing.txt"})
+
 
 class TestAdapt:
     def test_artifacts_and_rounds(self, cfg_file, data_dir, pretrain_dir, tmp_path):

@@ -135,14 +135,17 @@ class TestRank1:
         assert res.skipped_probes == ("p1",)
         assert res.evaluated == 1
 
-    def test_all_probes_skipped_rejected(self):
+    def test_all_probes_skipped_reports_no_accuracy(self):
         proto = _manual_protocol([
             ("gA", "A", "000", "NM", True),
             ("p1", "A", "000", "NM", False),
         ], exclude=True)
         emb = {"gA": [0.0], "p1": [1.0]}
-        with pytest.raises(ProtocolError, match="every probe"):
-            rank1(emb, proto)
+        res = rank1(emb, proto)
+        assert res.accuracy is None
+        assert (res.correct, res.evaluated) == (0, 0)
+        assert res.skipped_probes == ("p1",)
+        assert res.per_condition == {}
 
     def test_empty_gallery_rejected(self):
         proto = _manual_protocol([("p1", "A", "000", "NM", False)])

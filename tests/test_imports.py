@@ -64,3 +64,22 @@ def test_file_io_check_sees_each_form():
                      "p.write_text(t)\nPath(p).write_bytes(b)\n")
     assert _file_io(tree) == ["import csv", "from csv import", "open() at line 3",
                               "write_text() at line 4", "write_bytes() at line 5"]
+
+
+def _calls_to(tree: ast.AST, name: str) -> list[int]:
+    """Lines that call name, bare or as an attribute."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_only_evaluation_builds_a_rank1_result():
+    # rank1 alone decides what an unscorable variant reports
+    package = Path(gaitadapt.__file__).parent
+    builders = [p.stem for p in sorted(package.glob("*.py"))
+                if _calls_to(ast.parse(p.read_text()), "Rank1Result")]
+    assert builders == ["evaluation"]
+
+
+def test_call_check_sees_each_form():
+    tree = ast.parse("Rank1Result(a)\nevaluation.Rank1Result(b)\nRank1Result\nf(Rank1Result)\n")
+    assert _calls_to(tree, "Rank1Result") == [1, 2]
